@@ -4,6 +4,7 @@ quality-latency evaluation."""
 from .aligner import (
     AlignmentLinkSet,
     TranslationTable,
+    align_corpus,
     align_pair,
     export_alignments,
     import_alignments,

@@ -1,32 +1,24 @@
-"""Hot inner loops for EM alignment training.
+"""Hot inner loops of the word aligner, in numpy.
 
-One sweep = E-step (expected co-occurrence counts plus corpus log-likelihood
-under the current table) followed by the M-step row normalization. The
-probability table is stored sparsely over co-occurring (source, target) word
-pairs in CSR form; the corpus is pre-expanded into one flat "event" per
-(sentence pair, target position, source position incl. NULL).
+Both kernels run over one flat "event" layout. A group is one column word of
+one sentence pair; its events are the candidate rows for that word, NULL
+first and then every row position in order. ``group_ptr`` delimits the
+groups: the events of group g are ``[group_ptr[g], group_ptr[g + 1])``.
 
-Two interchangeable implementations exist: a numba @njit kernel and a pure
-numpy one. Selection is controlled by the SIMTRANS_NUMBA environment
-variable: "0"/"off" forces numpy, "1"/"on" requires numba, anything else
-(default) uses numba when importable. Both paths are deterministic; they can
-differ in the last couple of float ulps because summation order differs.
+The probability table is stored sparsely over co-occurring (row word,
+column word) pairs in CSR form, and ``event_slot`` maps each event to its
+table slot.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    HAVE_NUMBA = False
+def em_sweep(probs, event_slot, group_ptr, row_ptr, ll_const):
+    """One EM sweep: E-step counts and corpus log-likelihood, then M-step.
 
-
-def em_sweep_numpy(probs, event_slot, group_ptr, row_ptr, ll_const):
-    """One EM sweep, vectorized numpy path."""
+    Returns the row-normalised table and the log-likelihood under the table
+    entering the sweep.
+    """
     w = probs[event_slot]
     z = np.add.reduceat(w, group_ptr[:-1])
     ll = float(np.log(z).sum()) - ll_const
@@ -37,52 +29,28 @@ def em_sweep_numpy(probs, event_slot, group_ptr, row_ptr, ll_const):
     return new_probs, ll
 
 
-def _em_sweep_loops(probs, event_slot, group_ptr, row_ptr, ll_const):
-    counts = np.zeros(probs.size, dtype=np.float64)
-    ll = 0.0
-    for g in range(group_ptr.size - 1):
-        lo, hi = group_ptr[g], group_ptr[g + 1]
-        z = 0.0
-        for idx in range(lo, hi):
-            z += probs[event_slot[idx]]
-        ll += np.log(z)
-        for idx in range(lo, hi):
-            slot = event_slot[idx]
-            counts[slot] += probs[slot] / z
-    new_probs = np.empty(probs.size, dtype=np.float64)
-    for r in range(row_ptr.size - 1):
-        lo, hi = row_ptr[r], row_ptr[r + 1]
-        row_sum = 0.0
-        for idx in range(lo, hi):
-            row_sum += counts[idx]
-        for idx in range(lo, hi):
-            new_probs[idx] = counts[idx] / row_sum
-    return new_probs, ll - ll_const
+def segment_argmax(weights, group_ptr):
+    """Best row position of every group, or -1 where the group gets no link.
 
-
-if HAVE_NUMBA:
-    em_sweep_numba = njit(cache=True)(_em_sweep_loops)
-else:
-    em_sweep_numba = None
-
-
-def numba_enabled() -> bool:
-    flag = os.environ.get("SIMTRANS_NUMBA", "auto").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return False
-    if flag in ("1", "on", "true", "yes"):
-        if not HAVE_NUMBA:
-            raise RuntimeError("SIMTRANS_NUMBA=1 but numba is not importable")
-        return True
-    return HAVE_NUMBA
-
-
-def em_sweep(probs, event_slot, group_ptr, row_ptr, ll_const):
-    """Dispatch one EM sweep to the selected implementation."""
-    if numba_enabled():
-        return em_sweep_numba(probs, event_slot, group_ptr, row_ptr, ll_const)
-    return em_sweep_numpy(probs, event_slot, group_ptr, row_ptr, ll_const)
-
-
-def active_impl() -> str:
-    return "numba" if numba_enabled() else "numpy"
+    The first event of a group is NULL and the rest are row positions 0, 1,
+    ... in order. The best position has the highest positive weight, the
+    lowest position winning ties. It is kept only if its weight is at least
+    NULL's, so NULL must strictly beat every position to absorb the word. A
+    group with no positive position weight, including a NULL-only group,
+    gets -1; so does any group whose NULL weight is NaN.
+    """
+    best_pos = np.full(group_ptr.size - 1, -1, dtype=np.int64)
+    starts = group_ptr[:-1]
+    sizes = np.diff(group_ptr)
+    # NaN and non-positive weights can never win; NULL is compared apart
+    cand = np.where(weights > 0.0, weights, 0.0)
+    cand[starts] = 0.0
+    best = np.maximum.reduceat(cand, starts)
+    hits = np.flatnonzero((cand > 0.0) & (cand == np.repeat(best, sizes)))
+    group = np.searchsorted(group_ptr, hits, side="right") - 1
+    first = np.ones(hits.size, dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    hits, group = hits[first], group[first]
+    keep = best[group] >= weights[starts[group]]
+    best_pos[group[keep]] = hits[keep] - starts[group[keep]] - 1
+    return best_pos

@@ -10,6 +10,7 @@ at most once.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class TranslationTable:
     log_likelihood_history: list[float]
     _src_index: dict = field(repr=False, default_factory=dict)
     _tgt_index: dict = field(repr=False, default_factory=dict)
+    _slot_keys: np.ndarray = field(repr=False, init=False, compare=False, default=None)
 
     def _row_slice(self, row: int):
         return slice(int(self.row_ptr[row]), int(self.row_ptr[row + 1]))
@@ -96,56 +98,82 @@ class TranslationTable:
     def row_sums(self) -> np.ndarray:
         return np.add.reduceat(self.probs, self.row_ptr[:-1])
 
+    def _weights(self, layout) -> np.ndarray:
+        """Probability of every event of a layout; 0 where the table has no slot."""
+        n_tgt = len(self.target_vocab)
+        if self._slot_keys is None:
+            rows = np.repeat(np.arange(self.row_ptr.size - 1), np.diff(self.row_ptr))
+            # the trailing -1 is what a search past the last slot finds
+            self._slot_keys = np.append(rows * n_tgt + self.col, -1)
+        known = (layout.event_row >= 0) & (layout.event_col >= 0)
+        keys = np.where(known, layout.event_row * n_tgt + layout.event_col, -1)
+        slot = np.searchsorted(self._slot_keys[:-1], keys)
+        hit = self._slot_keys[slot] == keys
+        return np.where(hit, np.append(self.probs, 0.0)[slot], 0.0)
+
+
+class _Layout(NamedTuple):
+    """Flat event layout of a corpus in one direction (see _kernels).
+
+    Every (row words, column words) pair gives one group per column
+    position, over NULL and then each row position. Words are table ids:
+    row id 0 is NULL, and -1 marks a word the table does not know.
+    """
+
+    event_row: np.ndarray
+    event_col: np.ndarray
+    group_ptr: np.ndarray
+    row_lens: np.ndarray  # row words per pair, NULL not counted
+    col_lens: np.ndarray
+
+
+def _layout(pairs, row_id, col_id) -> _Layout:
+    row_ids, col_ids, row_lens, col_lens = [], [], [], []
+    for row_words, col_words in pairs:
+        row_ids.append(0)
+        row_ids.extend(map(row_id, row_words))
+        col_ids.extend(map(col_id, col_words))
+        row_lens.append(len(row_words))
+        col_lens.append(len(col_words))
+    row_lens = np.array(row_lens, dtype=np.int64)
+    col_lens = np.array(col_lens, dtype=np.int64)
+    sizes = np.repeat(row_lens + 1, col_lens)
+    group_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=group_ptr[1:])
+    # event e of group g reads row_ids[start of g's pair block + e - group_ptr[g]]
+    null_at = np.cumsum(row_lens + 1) - (row_lens + 1)
+    shift = np.repeat(np.repeat(null_at, col_lens) - group_ptr[:-1], sizes)
+    event_row = np.array(row_ids, dtype=np.int64)[np.arange(group_ptr[-1]) + shift]
+    event_col = np.repeat(np.array(col_ids, dtype=np.int64), sizes)
+    return _Layout(event_row, event_col, group_ptr, row_lens, col_lens)
+
 
 def _encode(pairs):
     src_index, tgt_index = {}, {}
-    src_vocab, tgt_vocab = [], []
-    encoded = []
-    for src_words, tgt_words in pairs:
-        e_ids = [0]
-        for w in src_words:
-            if w not in src_index:
-                src_index[w] = len(src_vocab) + 1  # 0 reserved for NULL
-                src_vocab.append(w)
-            e_ids.append(src_index[w])
-        f_ids = []
-        for w in tgt_words:
-            if w not in tgt_index:
-                tgt_index[w] = len(tgt_vocab)
-                tgt_vocab.append(w)
-            f_ids.append(tgt_index[w])
-        encoded.append((np.array(e_ids, dtype=np.int64), np.array(f_ids, dtype=np.int64)))
-
-    n_tgt = len(tgt_vocab)
-    key_chunks = []
-    group_sizes = []
+    layout = _layout(
+        pairs,
+        lambda w: src_index.setdefault(w, len(src_index) + 1),  # 0 reserved for NULL
+        lambda w: tgt_index.setdefault(w, len(tgt_index)),
+    )
     ll_const = 0.0
-    for e_ids, f_ids in encoded:
-        # one event per (target position, source position incl. NULL),
-        # target-position major so E-step groups are contiguous
-        key_chunks.append(np.add.outer(f_ids, e_ids * n_tgt).ravel())
-        group_sizes.extend([e_ids.size] * f_ids.size)
-        ll_const += f_ids.size * math.log(e_ids.size)
+    for n_rows, n_cols in zip(layout.row_lens.tolist(), layout.col_lens.tolist()):
+        ll_const += n_cols * math.log(n_rows + 1)
 
-    all_keys = np.concatenate(key_chunks)
-    slots = np.unique(all_keys)
-    event_slot = np.searchsorted(slots, all_keys)
-    slot_rows = slots // n_tgt
-    col = (slots % n_tgt).astype(np.int64)
-    n_rows = len(src_vocab) + 1
-    row_ptr = np.searchsorted(slot_rows, np.arange(n_rows + 1)).astype(np.int64)
-    group_ptr = np.concatenate(
-        [[0], np.cumsum(np.array(group_sizes, dtype=np.int64))]
-    ).astype(np.int64)
+    n_tgt = len(tgt_index)
+    slots, event_slot = np.unique(
+        layout.event_col + layout.event_row * n_tgt, return_inverse=True
+    )
+    col = slots % n_tgt
+    row_ptr = np.searchsorted(slots // n_tgt, np.arange(len(src_index) + 2))
     return (
-        src_vocab,
-        tgt_vocab,
+        list(src_index),
+        list(tgt_index),
         src_index,
         tgt_index,
         col,
         row_ptr,
-        event_slot.astype(np.int64),
-        group_ptr,
+        event_slot,
+        layout.group_ptr,
         ll_const,
     )
 
@@ -190,34 +218,46 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     )
 
 
-def _argmax_links(row_words, col_words, table):
-    """Per-column argmax over row positions; NULL or zero evidence drops the link.
+def _best_rows(pairs, table: TranslationTable):
+    """Argmax row position of every (pair, column position), or -1; and the layout."""
+    layout = _layout(
+        pairs,
+        lambda w: table._src_index.get(w, -1),
+        lambda w: table._tgt_index.get(w, -1),
+    )
+    return _kernels.segment_argmax(table._weights(layout), layout.group_ptr), layout
 
-    Returns links as (row position, column position). Ties go to the lowest
-    row position; NULL must strictly beat every position to absorb the word.
+
+def align_corpus(corpus, forward: TranslationTable, reverse: TranslationTable) -> list:
+    """Link every (source, target) pair; one AlignmentLinkSet per pair.
+
+    Links are the intersection of forward per-target and reverse per-source
+    argmax links. Ties go to the lowest position, and NULL must strictly
+    beat every position to absorb a word. A word a table never saw has
+    probability 0 there, so it gets no link.
     """
-    links = set()
-    for j, cw in enumerate(col_words):
-        null_p = table.prob(None, cw)
-        best_p = 0.0
-        best_i = -1
-        for i, rw in enumerate(row_words):
-            p = table.prob(rw, cw)
-            if p > best_p:
-                best_p = p
-                best_i = i
-        if best_i >= 0 and best_p > 0.0 and best_p >= null_p:
-            links.add((best_i, j))
-    return links
+    pairs = [(_word_list(s), _word_list(t)) for s, t in corpus]
+    # fwd[g]: source position for target position g; rev[g]: target position for source g
+    fwd, layout = _best_rows(pairs, forward)
+    rev, _ = _best_rows([(t, s) for s, t in pairs], reverse)
+    # forward link (i, j) survives when the reverse argmax of source i is j
+    src_lens, tgt_lens = layout.row_lens, layout.col_lens
+    pair = np.repeat(np.arange(len(pairs)), tgt_lens)
+    j = np.arange(fwd.size) - np.repeat(np.cumsum(tgt_lens) - tgt_lens, tgt_lens)
+    rev_at = np.where(fwd >= 0, (np.cumsum(src_lens) - src_lens)[pair] + fwd, rev.size)
+    kept = np.append(rev, -1)[rev_at] == j
+    links = [set() for _ in pairs]
+    for p, i, jj in zip(pair[kept].tolist(), fwd[kept].tolist(), j[kept].tolist()):
+        links[p].add((i, jj))
+    return [
+        AlignmentLinkSet(links=ls, source_len=len(s), target_len=len(t))
+        for ls, (s, t) in zip(links, pairs)
+    ]
 
 
 def align_pair(src, tgt, forward: TranslationTable, reverse: TranslationTable) -> AlignmentLinkSet:
-    """Intersection of forward per-target and reverse per-source argmax links."""
-    src_words = _word_list(src)
-    tgt_words = _word_list(tgt)
-    fwd = _argmax_links(src_words, tgt_words, forward)
-    rev = {(i, j) for (j, i) in _argmax_links(tgt_words, src_words, reverse)}
-    return AlignmentLinkSet(links=fwd & rev, source_len=len(src_words), target_len=len(tgt_words))
+    """Links of one pair; see align_corpus."""
+    return align_corpus([(src, tgt)], forward, reverse)[0]
 
 
 def parse_pharaoh_line(line: str, line_no: int = None) -> set:

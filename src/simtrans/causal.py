@@ -13,7 +13,7 @@ reaches a model.
 import json
 from dataclasses import dataclass
 
-from .aligner import AlignmentLinkSet
+from .aligner import AlignmentLinkSet, align_corpus
 from .errors import ParseError, SimtransError
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
@@ -89,16 +89,15 @@ def build_corpus(pairs, forward, reverse, align_fn=None):
     align_fn overrides the table-based aligner, e.g. to feed imported link
     sets: it receives (index, src, tgt) and returns an AlignmentLinkSet.
     """
-    from .aligner import align_pair
+    pairs = list(pairs)
+    if align_fn is None:
+        link_sets = align_corpus(pairs, forward, reverse)
+        align_fn = lambda idx, src, tgt: link_sets[idx]
 
     out = []
     for idx, (src, tgt) in enumerate(pairs):
         try:
-            if align_fn is not None:
-                links = align_fn(idx, src, tgt)
-            else:
-                links = align_pair(src, tgt, forward, reverse)
-            out.append(causal_align(src, tgt, links))
+            out.append(causal_align(src, tgt, align_fn(idx, src, tgt)))
         except SimtransError as exc:
             raise type(exc)(f"pair {idx}: {exc}") from exc
     stats = CorpusStats(
@@ -207,16 +206,19 @@ def verify_pair(record: dict) -> list:
 def verify_corpus_file(path):
     """Independent invariant check over a corpus file.
 
-    Yields (1-based record index, [violations]) for each record.
+    Yields (1-based record index, 1-based line number, [violations]) for
+    each record; blank lines are skipped and hold no record.
     """
+    record_no = 0
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            record_no += 1
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                yield n, [f"invalid JSON: {exc}"]
+                yield record_no, n, [f"invalid JSON: {exc}"]
                 continue
-            yield n, verify_pair(record)
+            yield record_no, n, verify_pair(record)

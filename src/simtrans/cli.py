@@ -372,12 +372,12 @@ def cmd_evaluate(args, config) -> int:
 def cmd_verify(args, config) -> int:
     total = 0
     bad = 0
-    for record_no, problems in causal.verify_corpus_file(args.corpus):
+    for record_no, line_no, problems in causal.verify_corpus_file(args.corpus):
         total += 1
         if problems:
             bad += 1
             for p in problems:
-                print(f"pair {record_no}: {p}")
+                print(f"pair {record_no} ({args.corpus}:{line_no}): {p}")
     if total == 0:
         print("warning: empty corpus, nothing to verify")
         return EXIT_OK

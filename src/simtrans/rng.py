@@ -3,8 +3,6 @@
 All randomized behavior in the toolkit (trim-length sampling, bootstrap
 resampling, fuzz corpora) draws from numpy's PCG64 bit generator, which has
 a published algorithm and produces identical streams on every platform.
-Shard-local generators are derived through SeedSequence so that fanning work
-out over shards never reuses a stream.
 """
 
 import numpy as np
@@ -14,7 +12,3 @@ def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator for a root seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-
-def derive_rng(seed: int, shard: int) -> np.random.Generator:
-    """Independent per-shard generator derived from (seed, shard)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, shard))))

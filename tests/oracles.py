@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes expected values by a different route than the
-package code: dictionary-based EM, exhaustive search over wait placements,
-and a from-scratch causality scan over raw corpus records.
+package code: dictionary-based EM, per-cell argmax linking through table
+lookups, exhaustive search over wait placements, and a from-scratch
+causality scan over raw corpus records.
 """
 
 import math
@@ -42,6 +43,34 @@ def naive_em(pairs, iterations):
         prob = {(e, f): counts[(e, f)] / totals[e] for (e, f) in support}
         history.append(ll)
     return prob, history
+
+
+def _argmax_links(row_words, col_words, table):
+    """Per-column argmax over row positions, one table.prob() lookup per cell.
+
+    Returns links as (row position, column position). Ties go to the lowest
+    row position; NULL must strictly beat every position to absorb the word.
+    """
+    links = set()
+    for j, cw in enumerate(col_words):
+        null_p = table.prob(None, cw)
+        best_p = 0.0
+        best_i = -1
+        for i, rw in enumerate(row_words):
+            p = table.prob(rw, cw)
+            if p > best_p:
+                best_p = p
+                best_i = i
+        if best_i >= 0 and best_p > 0.0 and best_p >= null_p:
+            links.add((best_i, j))
+    return links
+
+
+def cell_links(src, tgt, forward, reverse):
+    """Intersection of forward per-target and reverse per-source argmax links."""
+    fwd = _argmax_links(src, tgt, forward)
+    rev = {(i, j) for (j, i) in _argmax_links(tgt, src, reverse)}
+    return fwd & rev
 
 
 def min_waits_brute_force(target_len, constraints, max_waits):

@@ -3,6 +3,7 @@ import pytest
 
 from simtrans import _kernels
 from simtrans.aligner import (
+    align_corpus,
     align_pair,
     export_alignments,
     import_alignments,
@@ -10,8 +11,9 @@ from simtrans.aligner import (
     train_table,
 )
 from simtrans.errors import BoundsError, EmptyCorpus, InputMismatch, ParseError
+from simtrans.rng import make_rng
 
-from oracles import naive_em
+from oracles import cell_links, naive_em
 
 TWO_PAIR = [(["the", "dog"], ["le", "chien"]), (["the", "cat"], ["le", "chat"])]
 
@@ -91,15 +93,45 @@ def test_intersection_is_target_functional(rng):
         assert len(targets) == len(set(targets))
 
 
-def test_kernel_paths_agree(monkeypatch):
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("SIMTRANS_NUMBA", "0")
-    t_np = train_table(TWO_PAIR, iterations=6)
-    monkeypatch.setenv("SIMTRANS_NUMBA", "1")
-    t_nb = train_table(TWO_PAIR, iterations=6)
-    np.testing.assert_allclose(t_np.probs, t_nb.probs, rtol=0, atol=1e-13)
-    assert t_np.log_likelihood_history == pytest.approx(t_nb.log_likelihood_history)
+def test_segment_argmax_rules():
+    groups = [
+        [0.1, 0.4, 0.4, 0.2],  # position tie: lowest position wins
+        [0.5, 0.5, 0.2],       # NULL ties the best position: link kept
+        [0.6, 0.5],            # NULL strictly higher: no link
+        [0.0, 0.0, 0.0],       # all zero: no link
+        [0.9],                 # NULL only: no link
+        [0.1, 0.2, 0.7, 0.7],  # best is not the first position
+        [0.0, float("nan"), 0.3],  # a NaN position never wins
+        [float("nan"), 0.3],   # a NaN NULL blocks the link
+    ]
+    weights = np.array([w for g in groups for w in g])
+    group_ptr = np.cumsum([0] + [len(g) for g in groups])
+    best = _kernels.segment_argmax(weights, group_ptr)
+    assert best.tolist() == [0, 0, -1, -1, -1, 1, 1, -1]
+
+
+def test_segment_argmax_no_groups():
+    assert _kernels.segment_argmax(np.zeros(0), np.zeros(1, dtype=np.int64)).size == 0
+
+
+def test_align_corpus_matches_cell_oracle():
+    rng = make_rng(7)
+    for n in range(240):
+        vocab = int(rng.integers(2, 21))
+        iterations = int(rng.choice([1, 2, 5, 15]))
+
+        def sentence(prefix, size=vocab):
+            return [f"{prefix}{int(rng.integers(0, size))}"
+                    for _ in range(int(rng.integers(1, 8)))]
+
+        corpus = [(sentence("s"), sentence("t")) for _ in range(int(rng.integers(1, 9)))]
+        fwd = train_table(corpus, iterations=iterations)
+        rev = train_table(corpus, iterations=iterations, direction="reverse")
+        # one extra pair drawn from a wider vocabulary brings unseen words
+        pairs = corpus + [(sentence("s", vocab + 3), sentence("t", vocab + 3))]
+        for (src, tgt), got in zip(pairs, align_corpus(pairs, fwd, rev)):
+            assert got.links == cell_links(src, tgt, fwd, rev), (n, src, tgt)
+            assert (got.source_len, got.target_len) == (len(src), len(tgt))
 
 
 def test_pharaoh_parse():

@@ -35,6 +35,12 @@ def test_align_pipeline_and_verify(tmp_path, toy_corpus, capsys):
     assert "2 pairs" in captured.out
 
 
+def test_align_output_matches_golden(tmp_path, toy_corpus):
+    out = tmp_path / "causal.jsonl"
+    assert main(["align", "--input", str(toy_corpus), "--output", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "toy_align_causal.jsonl").read_bytes()
+
+
 def test_align_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     code = main(["align", "--input", str(missing), "--output", str(tmp_path / "o")])
@@ -209,6 +215,18 @@ def test_verify_corrupted_corpus(tmp_path, toy_corpus, capsys):
         records[0]["source"] = ["a", "b"]
         write_jsonl(causal, records)
         assert main(["verify", str(causal)]) == EXIT_VERIFY
+
+
+def test_verify_numbers_records_across_blank_lines(tmp_path, capsys):
+    ok = {"source": ["a", "b"], "target": ["x", "y"], "links": [[0, 0], [1, 1]]}
+    bad = {"source": ["a", "b"], "target": ["x", "y"], "links": [[1, 0]]}
+    path = tmp_path / "causal.jsonl"
+    path.write_text("\n".join(["", json.dumps(ok), "", json.dumps(bad), "", json.dumps(ok)]) + "\n")
+    assert main(["verify", str(path)]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert f"pair 2 ({path}:4): causality violated" in out
+    assert "pair 3" not in out
+    assert "verified 3 pairs: 2 ok, 1 violating" in out
 
 
 def test_verify_empty_file(tmp_path, capsys):
