@@ -24,9 +24,24 @@ def em_sweep(probs, event_slot, group_ptr, row_ptr, ll_const):
     ll = float(np.log(z).sum()) - ll_const
     c = w / np.repeat(z, np.diff(group_ptr))
     counts = np.bincount(event_slot, weights=c, minlength=probs.size)
-    row_sums = np.add.reduceat(counts, row_ptr[:-1])
+    row_sums = segment_sum(counts, row_ptr)
     new_probs = counts / np.repeat(row_sums, np.diff(row_ptr))
     return new_probs, ll
+
+
+def segment_sum(values, ptr):
+    """Sum of every segment ``[ptr[i], ptr[i + 1])``, 0 for an empty one.
+
+    ``np.add.reduceat`` alone cannot take an empty segment: it returns the
+    element at its start, or fails when that start is past the end. So it
+    runs over the starts of the non-empty segments only, each of which then
+    ends where the next one starts.
+    """
+    sizes = np.diff(ptr)
+    sums = np.zeros(sizes.size)
+    full = sizes > 0
+    sums[full] = np.add.reduceat(values, ptr[:-1][full])
+    return sums
 
 
 def segment_argmax(weights, group_ptr):

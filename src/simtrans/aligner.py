@@ -96,7 +96,7 @@ class TranslationTable:
         }
 
     def row_sums(self) -> np.ndarray:
-        return np.add.reduceat(self.probs, self.row_ptr[:-1])
+        return _kernels.segment_sum(self.probs, self.row_ptr)
 
     def _weights(self, layout) -> np.ndarray:
         """Probability of every event of a layout; 0 where the table has no slot."""
@@ -198,6 +198,9 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
 
     (src_vocab, tgt_vocab, src_index, tgt_index,
      col, row_ptr, event_slot, group_ptr, ll_const) = _encode(pairs)
+    if not tgt_vocab:
+        side = "target" if direction == "forward" else "source"
+        raise EmptyCorpus(f"alignment training needs at least one {side} word")
 
     probs = np.full(col.size, 1.0 / len(tgt_vocab), dtype=np.float64)
     history = []

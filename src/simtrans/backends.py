@@ -6,12 +6,16 @@ suppressed after source exhaustion; honoring it is best-effort for remote
 backends and exact for the rule-based mocks.
 """
 
+import base64
 import hashlib
+import http.client
 import json
 import os
+import ssl
+import threading
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 from .errors import (
     BackendUnavailable,
@@ -86,11 +90,58 @@ class HttpBackend:
     server returns at most one word. Responses: {"choices": [{"text": ...,
     "finish_reason": "stop"|"length"}]}; empty text with finish_reason
     "stop" means the sequence ended.
+
+    Each thread keeps one keep-alive connection, so one backend can serve a
+    pool of workers. The HTTP(S)_PROXY and NO_PROXY environment variables
+    are read once, here. Client errors (4xx) other than 408 and 429 are not
+    retried; other failures are retried cfg.retries times.
     """
 
-    def __init__(self, cfg: HttpBackendConfig, session=None):
+    def __init__(self, cfg: HttpBackendConfig):
         self.cfg = cfg
-        self.session = session or requests.Session()
+        url = urllib.parse.urlsplit(cfg.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise BackendUnavailable(f"endpoint {cfg.endpoint_url!r} is not an http(s) URL")
+        self._https = url.scheme == "https"
+        self._host = url.hostname
+        self._port = url.port or (443 if self._https else 80)
+        self._path = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        proxy = _proxy_for(url)
+        self._proxy_addr = proxy[:2] if proxy else None
+        self._proxy_headers = proxy[2] if proxy else {}
+        if proxy and not self._https:
+            # a plain-HTTP proxy takes the absolute URI in the request line
+            self._path = urllib.parse.urlunsplit(url._replace(fragment=""))
+        self._ssl_context = ssl.create_default_context() if self._https else None
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            return conn
+        timeout = self.cfg.timeout_ms / 1000.0
+        host, port = self._proxy_addr or (self._host, self._port)
+        if self._https:
+            conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                               context=self._ssl_context)
+            if self._proxy_addr:
+                conn.set_tunnel(self._host, self._port, headers=self._proxy_headers)
+        else:
+            conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._local.conn = conn
+        with self._lock:
+            self._open.append(conn)
+        return conn
+
+    def close(self):
+        """Close every connection this backend opened, in any thread."""
+        with self._lock:
+            conns, self._open = self._open, []
+            self._local = threading.local()
+        for conn in conns:
+            conn.close()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -98,7 +149,33 @@ class HttpBackend:
             token = os.environ.get(self.cfg.api_key_env, "")
             if token:
                 headers["Authorization"] = f"Bearer {token}"
+        if not self._https:
+            headers.update(self._proxy_headers)
         return headers
+
+    def _post(self, body: bytes):
+        """(status, response body) of one POST on this thread's connection.
+
+        A kept-alive connection the server closed while idle fails on its
+        next use; it is reopened once, and that does not count as a retry.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            return self._exchange(conn, body)
+        except ConnectionError:
+            if not reused:
+                raise
+        return self._exchange(conn, body)
+
+    def _exchange(self, conn, body: bytes):
+        try:
+            conn.request("POST", self._path, body, self._headers())
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        except BaseException:
+            conn.close()  # its state is unknown; the next request reconnects
+            raise
 
     def _request(self, prompt: str, allow_wait: bool) -> dict:
         stop = [" "]
@@ -112,20 +189,21 @@ class HttpBackend:
             "top_p": self.cfg.top_p,
             "stop": stop,
         }
+        body = json.dumps(payload).encode("utf-8")
         last_error = None
         for _ in range(self.cfg.retries + 1):
             try:
-                resp = self.session.post(
-                    self.cfg.endpoint_url,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.cfg.timeout_ms / 1000.0,
+                status, data = self._post(body)
+                if status == 200:
+                    return json.loads(data)
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                last_error = str(exc) or type(exc).__name__
+                continue
+            if 400 <= status < 500 and status not in (408, 429):
+                raise BackendUnavailable(
+                    f"{self.cfg.endpoint_url} refused the request: HTTP {status}"
                 )
-                if resp.status_code == 200:
-                    return resp.json()
-                last_error = f"HTTP {resp.status_code}"
-            except (requests.RequestException, ValueError) as exc:
-                last_error = str(exc)
+            last_error = f"HTTP {status}"
         raise BackendUnavailable(
             f"{self.cfg.endpoint_url} unavailable after "
             f"{self.cfg.retries + 1} attempts: {last_error}"
@@ -215,3 +293,24 @@ def load_recording(path) -> dict:
             rec = json.loads(line)
             table.setdefault(rec["prompt_sha256"], []).append(rec["unit"])
     return table
+
+
+def _proxy_for(url):
+    """(host, port, headers) of the proxy the environment sets for url, or None.
+
+    HTTP_PROXY or HTTPS_PROXY (by the endpoint's scheme, else ALL_PROXY)
+    names the proxy, which is spoken to in plain HTTP; NO_PROXY exempts
+    hosts. Credentials in the proxy URL become a Proxy-Authorization header.
+    """
+    proxies = urllib.request.getproxies_environment()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass_environment(url.netloc, proxies):
+        return None
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers = {}
+    if parts.username is not None:
+        user = urllib.parse.unquote(parts.username)
+        password = urllib.parse.unquote(parts.password or "")
+        token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+        headers["Proxy-Authorization"] = f"Basic {token}"
+    return parts.hostname, parts.port or 80, headers

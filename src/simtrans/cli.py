@@ -19,6 +19,7 @@ from .backends import (
     DictionaryBackend,
     HttpBackend,
     HttpBackendConfig,
+    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
     load_recording,
@@ -206,12 +207,11 @@ def cmd_simulate(args, config) -> int:
         raise SimtransError(f"unknown mode {mode!r}")
 
     backend_kind, shared = _build_shared_backend(args, config)
-    recorder_fh = None
     if args.record:
         if backend_kind == "replay":
             raise SimtransError("--record cannot wrap the replay backend")
         workers = 1  # recording appends sequentially
-        recorder_fh = open(args.record, "w", encoding="utf-8")
+        open(args.record, "w", encoding="utf-8").close()
 
     engine_cfg = engine.EngineConfig(
         include_system=not args.no_system_message,
@@ -229,52 +229,38 @@ def cmd_simulate(args, config) -> int:
             backend = ScriptedBackend(shared[idx])
         else:
             backend = shared
-        if recorder_fh is not None:
-            backend = _InlineRecorder(recorder_fh, backend)
+        if args.record:
+            backend = RecordingBackend(args.record, backend)
         try:
             trace = engine.run_session(make_stream(idx), backend, k, engine_cfg)
             failed = False
         except SessionError as exc:
             trace = exc.partial_trace
             failed = True
+        finally:
+            if args.record:
+                backend.close()
         trace.session_id = f"{idx:04d}"
         return idx, k, trace, failed
 
     failures = 0
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
+    try:
+        if workers > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run_one, jobs))
+        else:
+            results = [run_one(job) for job in jobs]
+    finally:
+        if backend_kind == "http":
+            shared.close()
 
     for idx, k, trace, failed in sorted(results, key=lambda r: (r[0], r[1])):
         failures += int(failed)
         path = os.path.join(args.out_dir, f"{idx:04d}_k{k}.json")
         _atomic_write(path, trace.to_json() + "\n")
 
-    if recorder_fh is not None:
-        recorder_fh.close()
     print(f"wrote {len(results)} traces -> {args.out_dir} ({failures} failed)")
     return EXIT_PARTIAL if failures else EXIT_OK
-
-
-class _InlineRecorder:
-    """Minimal recording wrapper writing to an already-open handle."""
-
-    def __init__(self, fh, inner):
-        self.fh = fh
-        self.inner = inner
-
-    def next_unit(self, prompt, allow_wait=True):
-        from .backends import prompt_hash
-        from .units import unit_to_str
-
-        unit = self.inner.next_unit(prompt, allow_wait=allow_wait)
-        self.fh.write(json.dumps(
-            {"prompt_sha256": prompt_hash(prompt), "unit": unit_to_str(unit)},
-            ensure_ascii=False,
-        ) + "\n")
-        return unit
 
 
 # ---------------------------------------------------------------- evaluate

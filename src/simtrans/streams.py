@@ -118,14 +118,17 @@ class AsrSimStream(SourceStream):
             return
         total = self.transcript.total_ms
         window = self.cfg.window_ms
+        n = len(words)
         emitted = 0
+        visible = 0  # end times strictly increase, so the visible words are a prefix
         tick = 0.0
-        while emitted < len(words):
+        while emitted < n:
             tick += window
             if tick >= total:
-                exposed = len(words)
+                exposed = n
             else:
-                visible = sum(1 for w in words if w.end_ms <= tick)
+                while visible < n and words[visible].end_ms <= tick:
+                    visible += 1
                 exposed = visible - 1 if self.cfg.drop_last_word else visible
             while emitted < exposed:
                 yield words[emitted].word, tick

@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by a different route than the
 package code: dictionary-based EM, per-cell argmax linking through table
-lookups, exhaustive search over wait placements, and a from-scratch
-causality scan over raw corpus records.
+lookups, exhaustive search over wait placements, a from-scratch causality
+scan over raw corpus records, and ASR windowing that rescans every word on
+every tick.
 """
 
 import math
@@ -106,3 +107,25 @@ def rescan_causality(record):
         if j >= len(positions) or positions[j] < i:
             return False
     return len(record["source"]) == len(record["target"])
+
+
+def asr_rescan(end_ms, total_ms, window_ms, drop_last_word=True):
+    """Exposure ticks of a timed transcript, rescanning every word per tick.
+
+    Returns one tick per word: the first multiple of window_ms at which the
+    word is exposed. Before total_ms, the words whose audio ended by the
+    tick are visible, and the last visible one is withheld when
+    drop_last_word is set; from total_ms on, every word is exposed.
+    """
+    ticks = []
+    tick = 0.0
+    while len(ticks) < len(end_ms):
+        tick += window_ms
+        if tick >= total_ms:
+            exposed = len(end_ms)
+        else:
+            visible = sum(1 for end in end_ms if end <= tick)
+            exposed = visible - 1 if drop_last_word else visible
+        while len(ticks) < exposed:
+            ticks.append(tick)
+    return ticks

@@ -57,6 +57,32 @@ def test_empty_corpus():
         train_table([], iterations=3)
 
 
+def test_empty_sides_match_naive_em_oracle():
+    # t4 and t3 occur only opposite empty sources: in reverse training their
+    # table rows have no entries
+    corpus = [([], ["t4", "t1"]), (["s2"], ["t1"]), ([], ["t4", "t3"])]
+    swapped = [(t, s) for s, t in corpus]
+    for direction, pairs in (("forward", corpus), ("reverse", swapped)):
+        table = train_table(corpus, iterations=5, direction=direction)
+        ref_prob, ref_hist = naive_em(pairs, 5)
+        for (e, f), p in ref_prob.items():
+            assert table.prob(e, f) == pytest.approx(p, abs=1e-12), (direction, e, f)
+        assert table.log_likelihood_history == pytest.approx(ref_hist, abs=1e-9)
+    rev = train_table(corpus, iterations=5, direction="reverse")
+    assert rev.row("t4") == {} and rev.row("t3") == {}
+    assert rev.row_sums().tolist() == [1.0, 0.0, 1.0, 0.0]
+    fwd = train_table(corpus, iterations=5)
+    for (src, tgt), got in zip(corpus, align_corpus(corpus, fwd, rev)):
+        assert got.links == cell_links(src, tgt, fwd, rev)
+
+
+def test_no_column_words_is_empty_corpus():
+    with pytest.raises(EmptyCorpus, match="target word"):
+        train_table([(["a"], [])], iterations=1)
+    with pytest.raises(EmptyCorpus, match="source word"):
+        train_table([([], ["b"])], iterations=1, direction="reverse")
+
+
 def test_align_two_pair_corpus():
     fwd = train_table(TWO_PAIR, iterations=10)
     rev = train_table(TWO_PAIR, iterations=10, direction="reverse")

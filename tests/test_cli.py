@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import simtrans
 from simtrans.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY, main
+from simtrans.prompt import build_prompt, interpreter_system_message
 
 from conftest import GOLDEN
 
@@ -260,6 +266,51 @@ def test_replay_reproducibility(tmp_path):
     second = replay(tmp_path / "t2")
     assert first == second
     assert first == {p.name: p.read_bytes() for p in (tmp_path / "t0").glob("*.json")}
+
+
+def test_record_then_replay_byte_identical(tmp_path):
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": "grüß dich", "target": "hi there"},
+                           {"source": "a b c", "target": "x y z"}])
+    script_file = tmp_path / "script.json"
+    script_file.write_text(json.dumps([["<WAIT>", "hallö", "<EOS>"],
+                                       ["x", "<WAIT>", "y", "z", "<EOS>"]]))
+    recording = tmp_path / "rec.jsonl"
+    recording.write_text("stale line from an earlier run\n")
+
+    def simulate(out_dir, *backend):
+        assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
+                     "--k", "1", *backend]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in out_dir.glob("*.json")}
+
+    recorded = simulate(tmp_path / "rec", "--backend", "scripted", "--script-file",
+                        str(script_file), "--record", str(recording))
+    replayed = simulate(tmp_path / "rep", "--backend", "replay", "--recording", str(recording))
+    assert len(recorded) == 2 and replayed == recorded
+
+    # one line per backend call, in call order, the prompt hashed
+    system = interpreter_system_message()
+    calls = [
+        ((["grüß"], []), "<WAIT>"), ((["grüß", "dich"], []), "hallö"),
+        ((["grüß", "dich"], ["hallö"]), "<EOS>"),
+        ((["a"], []), "x"), ((["a", "b"], ["x"]), "<WAIT>"),
+        ((["a", "b", "c"], ["x"]), "y"), ((["a", "b", "c"], ["x", "y"]), "z"),
+        ((["a", "b", "c"], ["x", "y", "z"]), "<EOS>"),
+    ]
+    expected = "".join(
+        '{"prompt_sha256": "%s", "unit": "%s"}\n'
+        % (hashlib.sha256(build_prompt(src, tgt, system).encode()).hexdigest(), unit)
+        for (src, tgt), unit in calls
+    )
+    assert recording.read_text(encoding="utf-8") == expected
+
+
+def test_cli_imports_without_requests():
+    src = Path(simtrans.__file__).resolve().parents[1]
+    code = "import sys; sys.modules['requests'] = None; import simtrans.cli"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_precedence(tmp_path, toy_corpus, monkeypatch):

@@ -9,6 +9,8 @@ from simtrans.streams import (
     write_transcript,
 )
 
+from oracles import asr_rescan
+
 
 def transcript(end_times, total, words=None):
     words = words or [f"w{i+1}" for i in range(len(end_times))]
@@ -73,6 +75,34 @@ def test_asr_fuzz_invariants(rng):
             assert stamp % window == 0.0
             assert stamp >= prev_stamp
             prev_stamp = stamp
+
+
+def test_asr_matches_rescan_oracle(rng):
+    def check(ends, total, window, drop):
+        words = [f"w{i}" for i in range(len(ends))]
+        stream = AsrSimStream(transcript(ends, total, words),
+                              AsrSimConfig(window_ms=window, drop_last_word=drop))
+        expected = list(zip(words, asr_rescan(ends, total, window, drop)))
+        assert list(stream) == expected, (ends, total, window, drop)
+
+    for drop in (True, False):
+        # ends on window edges, totals on and past the last end and on a
+        # window edge, a window longer than the talk, and windows that skip
+        # several words at once
+        check([200.0], 200.0, 200.0, drop)
+        check([200.0, 400.0, 600.0], 600.0, 200.0, drop)
+        check([199.0, 200.0, 201.0], 201.0, 200.0, drop)
+        check([10.0, 20.0, 30.0], 1000.0, 200.0, drop)
+        check([10.0, 20.0, 30.0], 30.0, 5000.0, drop)
+        check([50.0, 60.0, 70.0, 900.0, 910.0], 1400.0, 200.0, drop)
+        check([0.5, 1.0, 1.5], 1.5, 0.25, drop)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            gaps = rng.integers(1, 500, size=n)
+            ends = [float(e) for e in gaps.cumsum()]
+            total = ends[-1] + float(rng.choice([0, 0, int(rng.integers(1, 700))]))
+            window = float(rng.choice([50, 100, 200, 333, 1000]))
+            check(ends, total, window, drop)
 
 
 def test_transcript_validation():
