@@ -31,6 +31,7 @@ from .metrics import (
     differentiable_al,
     length_adaptive_al,
     real_time_factor,
+    score_sessions,
     tradeoff_curve,
     wait_histogram,
 )

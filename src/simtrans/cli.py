@@ -14,7 +14,7 @@ import os
 import sys
 from importlib import resources
 
-from . import aligner, causal, engine, metrics, sft, streams
+from . import aligner, bleu, causal, engine, metrics, sft, streams
 from .backends import (
     DictionaryBackend,
     HttpBackend,
@@ -60,7 +60,29 @@ def resolve_option(args, config, name, default, cast=None):
         value = os.environ.get(f"SIMTRANS_{name.upper()}")
     if value is None:
         return default
-    return cast(value) if cast else value
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise SimtransError(f"--{_flag(name)}: invalid value {value!r}") from exc
+
+
+def _flag(name):
+    return name.replace("_", "-")
+
+
+def _at_least(name, value, low):
+    """Return value, or reject it with an error naming its flag."""
+    if not value >= low:
+        raise SimtransError(f"--{_flag(name)} must be >= {low}, got {value}")
+    return value
+
+
+def _positive(name, value):
+    if not value > 0:
+        raise SimtransError(f"--{_flag(name)} must be > 0, got {value}")
+    return value
 
 
 def _read_jsonl(path):
@@ -94,15 +116,26 @@ def _atomic_write(path, text):
 
 
 def _parse_k_list(value):
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v.strip()]
+    items = value if isinstance(value, (list, tuple)) else [
+        v for v in str(value).split(",") if v.strip()
+    ]
+    try:
+        k_list = [int(v) for v in items]
+    except (TypeError, ValueError) as exc:
+        raise SimtransError(f"--k: invalid value {value!r}") from exc
+    for k in k_list:
+        _at_least("k", k, 1)
+    return k_list
 
 
 # ---------------------------------------------------------------- align
 
 def cmd_align(args, config) -> int:
-    iterations = resolve_option(args, config, "iterations", aligner.DEFAULT_ITERATIONS, int)
+    iterations = _at_least(
+        "iterations",
+        resolve_option(args, config, "iterations", aligner.DEFAULT_ITERATIONS, int),
+        1,
+    )
     raw_pairs = _read_pair_file(args.input)
     tokenized = []
     for idx, (src, tgt) in enumerate(raw_pairs):
@@ -133,7 +166,9 @@ def cmd_align(args, config) -> int:
 
 def cmd_build_dataset(args, config) -> int:
     seed = resolve_option(args, config, "seed", 0, int)
-    samples_per_pair = resolve_option(args, config, "samples_per_pair", 1, int)
+    samples_per_pair = _at_least(
+        "samples_per_pair", resolve_option(args, config, "samples_per_pair", 1, int), 1
+    )
     language = resolve_option(args, config, "target_language", "German")
     corpus = causal.read_corpus(args.input)
     cfg = sft.SftConfig(
@@ -177,8 +212,10 @@ def _build_shared_backend(args, config):
             api_key_env=resolve_option(args, config, "api_key_env", None),
             top_p=resolve_option(args, config, "top_p", 0.7, float),
             max_unit_tokens=resolve_option(args, config, "max_unit_tokens", 12, int),
-            timeout_ms=resolve_option(args, config, "timeout_ms", 30000.0, float),
-            retries=resolve_option(args, config, "retries", 2, int),
+            timeout_ms=_positive(
+                "timeout_ms", resolve_option(args, config, "timeout_ms", 30000.0, float)
+            ),
+            retries=_at_least("retries", resolve_option(args, config, "retries", 2, int), 0),
         )
         return backend_kind, HttpBackend(http_cfg)
     raise SimtransError(f"unknown backend {backend_kind!r}")
@@ -188,7 +225,7 @@ def cmd_simulate(args, config) -> int:
     mode = resolve_option(args, config, "mode", "text")
     k_list = _parse_k_list(resolve_option(args, config, "k", "1"))
     workers = resolve_option(args, config, "workers", 1, int)
-    window_ms = resolve_option(args, config, "window_ms", 200.0, float)
+    window_ms = _positive("window_ms", resolve_option(args, config, "window_ms", 200.0, float))
     os.makedirs(args.out_dir, exist_ok=True)
 
     if mode == "text":
@@ -270,58 +307,84 @@ def _default_function_words():
     return [w.strip() for w in ref.read_text(encoding="utf-8").splitlines() if w.strip()]
 
 
+def _read_trace(path):
+    """One trace file, or an error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            rec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SimtransError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise SimtransError(f"{path}: a trace must be a JSON object")
+    try:
+        trace = engine.trace_from_record(rec)
+    except KeyError as exc:
+        raise SimtransError(f"{path}: trace record lacks {exc}") from exc
+    if not isinstance(trace.source_total, (int, float)):
+        raise SimtransError(f"{path}: source_total must be a number")
+    return trace
+
+
 def cmd_evaluate(args, config) -> int:
     seed = resolve_option(args, config, "seed", 0, int)
-    bootstrap_n = resolve_option(args, config, "bootstrap", 0, int)
+    bootstrap_n = _at_least("bootstrap", resolve_option(args, config, "bootstrap", 0, int), 0)
 
     trace_paths = sorted(glob.glob(os.path.join(args.traces, "*.json")))
     if not trace_paths:
         raise SimtransError(f"no trace files in {args.traces}")
-    traces = []
-    for path in trace_paths:
-        with open(path, encoding="utf-8") as fh:
-            traces.append(engine.trace_from_record(json.load(fh)))
+    traces = [_read_trace(path) for path in trace_paths]
 
     pairs = _read_pair_file(args.references)
     references = {f"{idx:04d}": tgt for idx, (_, tgt) in enumerate(pairs)}
 
     by_k = {}
-    for trace in traces:
+    for path, trace in zip(trace_paths, traces):
         if trace.session_id not in references:
             raise SimtransError(
                 f"no reference for trace id {trace.session_id!r}"
             )
-        by_k.setdefault(trace.k, []).append(trace)
+        by_k.setdefault(trace.k, []).append((path, trace))
 
+    # each reference is tokenized once, however many k groups score it
+    ref_cache = {}
     reports = {}
     bootstrap = {}
     for k, group in sorted(by_k.items()):
-        delay_seqs, hyps, refs = [], [], []
+        delay_seqs, hyps, refs, ref_stats = [], [], [], []
         total_processing = 0.0
         total_audio = 0.0
         timed = True
-        for trace in group:
+        for path, trace in group:
             ref_text = references[trace.session_id]
-            hyp_text = " ".join(trace.hypothesis_words)
-            delay_seqs.append(metrics.DelaySequence(
-                g=trace.delays,
-                source_len=trace.source_total,
-                hyp_len=len(trace.hypothesis_words),
-                ref_len=len(tokenize(ref_text).words),
-            ))
-            hyps.append(hyp_text)
+            if trace.session_id not in ref_cache:
+                ref_cache[trace.session_id] = (
+                    bleu.reference_stats(ref_text), len(tokenize(ref_text).words)
+                )
+            stats, ref_len = ref_cache[trace.session_id]
+            try:
+                delay_seqs.append(metrics.DelaySequence(
+                    g=trace.delays,
+                    source_len=trace.source_total,
+                    hyp_len=len(trace.hypothesis_words),
+                    ref_len=ref_len,
+                ))
+            except (TypeError, ValueError) as exc:
+                raise SimtransError(f"{path}: {exc}") from exc
+            hyps.append(" ".join(trace.hypothesis_words))
             refs.append(ref_text)
+            ref_stats.append(stats)
             if trace.processing_ms is None or trace.mode != "speech":
                 timed = False
             else:
                 total_processing += trace.processing_ms
                 total_audio += trace.source_total
-        unit = "ms" if group[0].mode == "speech" else "words"
+        unit = "ms" if group[0][1].mode == "speech" else "words"
         rtf = metrics.real_time_factor(total_processing, total_audio) if timed else None
-        reports[k] = metrics.aggregate_report(delay_seqs, hyps, refs, unit=unit, rtf=rtf)
+        scores = metrics.score_sessions(delay_seqs, hyps, refs, ref_stats)
+        reports[k] = metrics.aggregate_report(scores, unit=unit, rtf=rtf)
         if bootstrap_n:
             bootstrap[k] = metrics.bootstrap_reports(
-                delay_seqs, hyps, refs, bootstrap_n, make_rng(seed), unit=unit, rtf=rtf
+                scores, bootstrap_n, make_rng(seed), unit=unit, rtf=rtf
             )
         print(f"k={k}: BLEU {reports[k].bleu:.2f}  AL {reports[k].al:.2f}  "
               f"LAAL {reports[k].laal:.2f}  AP {reports[k].ap:.3f}  "

@@ -17,7 +17,10 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .bleu import corpus_bleu
+import numpy as np
+
+from .bleu import STATS_WIDTH, bleu_from_stats, reference_stats, sentence_stats
+from .bleu import corpus_bleu  # noqa: F401  (stays importable from this module)
 from .errors import DegenerateInput, InputMismatch
 
 
@@ -160,58 +163,105 @@ class LatencyReport:
         return json.dumps(self.to_record(), ensure_ascii=False)
 
 
-def aggregate_report(delay_seqs, hypotheses, references, unit="words", rtf=None) -> LatencyReport:
+@dataclass
+class SessionScores:
+    """Every per-session quantity a report needs, computed once.
+
+    Row i describes session i: its BLEU sufficient statistics (see
+    bleu.STATS_WIDTH) and, when it produced words (scored[i]), its AL, LAAL,
+    AP and DAL. Latency entries of unscored sessions are NaN and never read.
+    """
+
+    bleu_stats: np.ndarray   # (n, bleu.STATS_WIDTH) int64
+    al: np.ndarray
+    laal: np.ndarray
+    ap: np.ndarray
+    dal: np.ndarray
+    scored: np.ndarray       # bool: hypothesis has at least one word
+    truncated: np.ndarray    # bool: scored and g never reached |x|
+
+    def __len__(self):
+        return len(self.scored)
+
+
+def score_sessions(delay_seqs, hypotheses, references, ref_stats=None) -> SessionScores:
+    """Tokenize, count and time every session once.
+
+    ref_stats, when given, holds one bleu.reference_stats entry per
+    reference, so a caller scoring the same references repeatedly
+    tokenizes each of them only once.
+    """
+    if not (len(delay_seqs) == len(hypotheses) == len(references)):
+        raise InputMismatch("delay/hypothesis/reference counts differ")
+    if ref_stats is None:
+        ref_stats = [reference_stats(ref) for ref in references]
+    elif len(ref_stats) != len(references):
+        raise InputMismatch("reference statistics and references differ in count")
+    n = len(delay_seqs)
+    bleu_stats = np.zeros((n, STATS_WIDTH), dtype=np.int64)
+    latency = np.full((4, n), np.nan)
+    scored = np.zeros(n, dtype=bool)
+    truncated = np.zeros(n, dtype=bool)
+    for i, (d, hyp, ref) in enumerate(zip(delay_seqs, hypotheses, ref_stats)):
+        bleu_stats[i] = sentence_stats(hyp, ref)
+        if d.hyp_len >= 1 and d.g:
+            scored[i] = True
+            truncated[i] = is_truncated(d)
+            latency[:, i] = (average_lagging(d), length_adaptive_al(d),
+                             average_proportion(d), differentiable_al(d))
+    al, laal, ap, dal = latency
+    return SessionScores(bleu_stats, al, laal, ap, dal, scored, truncated)
+
+
+def _report(scores: SessionScores, idx, unit, rtf) -> LatencyReport:
+    """The report over the sessions idx names, repeats and order included."""
+    scored = idx[scores.scored[idx]]
+    if not len(scored):
+        raise DegenerateInput("no session produced any hypothesis words")
+
+    def mean(values):
+        # a left-to-right Python sum, so that means do not depend on the
+        # summation order numpy picks
+        return sum(values[scored].tolist()) / len(scored)
+
+    return LatencyReport(
+        bleu=bleu_from_stats(scores.bleu_stats[idx].sum(axis=0)),
+        al=mean(scores.al),
+        laal=mean(scores.laal),
+        ap=mean(scores.ap),
+        dal=mean(scores.dal),
+        rtf=rtf,
+        unit=unit,
+        session_count=len(idx),
+        truncated_sessions=int(scores.truncated[scored].sum()),
+        skipped_sessions=len(idx) - len(scored),
+    )
+
+
+def aggregate_report(scores: SessionScores, unit="words", rtf=None) -> LatencyReport:
     """Corpus BLEU plus per-session latency means.
 
     Sessions with empty hypotheses still count for BLEU but are skipped in
     the latency means (their lag is undefined).
     """
-    if not (len(delay_seqs) == len(hypotheses) == len(references)):
-        raise InputMismatch("delay/hypothesis/reference counts differ")
-    scored = [d for d in delay_seqs if d.hyp_len >= 1 and d.g]
-    if not scored:
-        raise DegenerateInput("no session produced any hypothesis words")
-
-    def mean(values):
-        return sum(values) / len(values)
-
-    return LatencyReport(
-        bleu=corpus_bleu(hypotheses, references),
-        al=mean([average_lagging(d) for d in scored]),
-        laal=mean([length_adaptive_al(d) for d in scored]),
-        ap=mean([average_proportion(d) for d in scored]),
-        dal=mean([differentiable_al(d) for d in scored]),
-        rtf=rtf,
-        unit=unit,
-        session_count=len(delay_seqs),
-        truncated_sessions=sum(1 for d in scored if is_truncated(d)),
-        skipped_sessions=len(delay_seqs) - len(scored),
-    )
+    return _report(scores, np.arange(len(scores)), unit, rtf)
 
 
-def bootstrap_reports(delay_seqs, hypotheses, references, n_resamples, rng,
-                      unit="words", rtf=None):
+def bootstrap_reports(scores: SessionScores, n_resamples, rng, unit="words", rtf=None):
     """Mean and standard deviation per metric over resampled sentence sets.
 
     Each resample draws len(sessions) indices with replacement using the
-    supplied generator; metric aggregation is rerun on each resample.
+    supplied generator and reduces the session scores over them.
     """
     if n_resamples < 1:
         raise ValueError("need at least one resample")
-    size = len(delay_seqs)
+    size = len(scores)
     if size == 0:
         raise DegenerateInput("nothing to resample")
     samples = []
     for _ in range(n_resamples):
         idx = rng.integers(0, size, size=size)
-        report = aggregate_report(
-            [delay_seqs[i] for i in idx],
-            [hypotheses[i] for i in idx],
-            [references[i] for i in idx],
-            unit=unit,
-            rtf=rtf,
-        )
-        samples.append(report.to_record())
+        samples.append(_report(scores, idx, unit, rtf).to_record())
 
     fields = ["bleu", "al", "laal", "ap", "dal"]
     out = {}

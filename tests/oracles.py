@@ -3,13 +3,25 @@
 Everything here recomputes expected values by a different route than the
 package code: dictionary-based EM, per-cell argmax linking through table
 lookups, exhaustive search over wait placements, a from-scratch causality
-scan over raw corpus records, and ASR windowing that rescans every word on
-every tick.
+scan over raw corpus records, ASR windowing that rescans every word on
+every tick, and evaluation that re-tokenizes and re-counts every sentence of
+every resample from its strings.
 """
 
 import math
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 from itertools import combinations_with_replacement
+
+from simtrans.errors import DegenerateInput, InputMismatch
+from simtrans.metrics import (
+    LatencyReport,
+    average_lagging,
+    average_proportion,
+    differentiable_al,
+    is_truncated,
+    length_adaptive_al,
+)
 
 WAIT = "<WAIT>"
 FILLER = "<FILLER>"
@@ -129,3 +141,113 @@ def asr_rescan(end_ms, total_ms, window_ms, drop_last_word=True):
         while len(ticks) < exposed:
             ticks.append(tick)
     return ticks
+
+
+def regex_tokenize_13a(line):
+    """mteval-v13a tokenization with one regex substitution per rule."""
+    norm = line.replace("<skipped>", "")
+    norm = norm.replace("-\n", "").replace("\n", " ")
+    norm = (
+        norm.replace("&quot;", '"')
+        .replace("&amp;", "&")
+        .replace("&lt;", "<")
+        .replace("&gt;", ">")
+    )
+    norm = f" {norm} "
+    norm = re.sub(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", r" \1 ", norm)
+    norm = re.sub(r"([^0-9])([\.,])", r"\1 \2 ", norm)
+    norm = re.sub(r"([\.,])([^0-9])", r" \1 \2", norm)
+    norm = re.sub(r"([0-9])(-)", r"\1 \2 ", norm)
+    return re.sub(r"\s+", " ", norm).strip().split()
+
+
+def _ngram_counts(tokens, max_order=4):
+    counts = Counter()
+    for n in range(1, max_order + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i : i + n])] += 1
+    return counts
+
+
+def string_corpus_bleu(hypotheses, references):
+    """Corpus BLEU-4 from raw strings, tokenizing and counting every pair."""
+    hypotheses = list(hypotheses)
+    references = list(references)
+    if not hypotheses or len(hypotheses) != len(references):
+        raise InputMismatch(
+            f"{len(hypotheses)} hypotheses vs {len(references)} references"
+        )
+    correct = [0] * 4
+    total = [0] * 4
+    sys_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp_tokens = regex_tokenize_13a(hyp)
+        ref_tokens = regex_tokenize_13a(ref)
+        sys_len += len(hyp_tokens)
+        ref_len += len(ref_tokens)
+        ref_counts = _ngram_counts(ref_tokens)
+        for ngram, count in _ngram_counts(hyp_tokens).items():
+            n = len(ngram)
+            total[n - 1] += count
+            correct[n - 1] += min(count, ref_counts.get(ngram, 0))
+
+    if sys_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(4):
+        if correct[n] == 0 or total[n] == 0:
+            return 0.0
+        log_sum += math.log(correct[n] / total[n])
+    brevity = 1.0 if sys_len >= ref_len else math.exp(1.0 - ref_len / sys_len)
+    return 100.0 * brevity * math.exp(log_sum / 4)
+
+
+def list_aggregate_report(delay_seqs, hypotheses, references, unit="words", rtf=None):
+    """LatencyReport recomputed from lists: string BLEU, Python-sum means."""
+    if not (len(delay_seqs) == len(hypotheses) == len(references)):
+        raise InputMismatch("delay/hypothesis/reference counts differ")
+    scored = [d for d in delay_seqs if d.hyp_len >= 1 and d.g]
+    if not scored:
+        raise DegenerateInput("no session produced any hypothesis words")
+
+    def mean(values):
+        return sum(values) / len(values)
+
+    return LatencyReport(
+        bleu=string_corpus_bleu(hypotheses, references),
+        al=mean([average_lagging(d) for d in scored]),
+        laal=mean([length_adaptive_al(d) for d in scored]),
+        ap=mean([average_proportion(d) for d in scored]),
+        dal=mean([differentiable_al(d) for d in scored]),
+        rtf=rtf,
+        unit=unit,
+        session_count=len(delay_seqs),
+        truncated_sessions=sum(1 for d in scored if is_truncated(d)),
+        skipped_sessions=len(delay_seqs) - len(scored),
+    )
+
+
+def resample_bootstrap(delay_seqs, hypotheses, references, n_resamples, rng,
+                       unit="words", rtf=None):
+    """Bootstrap that rebuilds the lists and rescores them per resample."""
+    size = len(delay_seqs)
+    samples = []
+    for _ in range(n_resamples):
+        idx = rng.integers(0, size, size=size)
+        report = list_aggregate_report(
+            [delay_seqs[i] for i in idx],
+            [hypotheses[i] for i in idx],
+            [references[i] for i in idx],
+            unit=unit,
+            rtf=rtf,
+        )
+        samples.append(report.to_record())
+    out = {}
+    for name in ["bleu", "al", "laal", "ap", "dal"]:
+        values = [s[name] for s in samples]
+        m = sum(values) / len(values)
+        var = sum((v - m) ** 2 for v in values) / len(values)
+        out[name] = {"mean": m, "std": var ** 0.5}
+    out["resamples"] = n_resamples
+    return out

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import oracles
 from simtrans.bleu import corpus_bleu, tokenize_13a
 from simtrans.errors import InputMismatch
+from simtrans.rng import make_rng
 
 from conftest import FIXTURES
 
@@ -56,3 +58,14 @@ def test_13a_tokenizer_splits():
     ]
     assert tokenize_13a("x&amp;y") == ["x", "&", "y"]
     assert tokenize_13a("1996-2000") == ["1996", "-", "2000"]
+
+
+def test_13a_matches_regex_oracle_fuzz():
+    pieces = list("abcXYZ0123456789 .,-\n\t'") + [chr(c) for c in range(33, 127)] + [
+        "&amp;", "&quot;", "&lt;", "&gt;", "<skipped>", "-\n", "é", "—", "3.5", "1,000",
+    ]
+    rng = make_rng(13)
+    for _ in range(2000):
+        picks = rng.integers(0, len(pieces), size=int(rng.integers(0, 30)))
+        line = "".join(pieces[int(i)] for i in picks)
+        assert tokenize_13a(line) == oracles.regex_tokenize_13a(line), repr(line)

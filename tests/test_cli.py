@@ -11,7 +11,7 @@ import simtrans
 from simtrans.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY, main
 from simtrans.prompt import build_prompt, interpreter_system_message
 
-from conftest import GOLDEN
+from conftest import FIXTURES, GOLDEN
 
 
 def write_jsonl(path, records):
@@ -202,6 +202,96 @@ def test_evaluate_missing_reference(tmp_path, capsys):
     code = main(["evaluate", "--traces", str(out_dir), "--references", str(short_refs)])
     assert code == EXIT_USAGE
     assert "0000" in capsys.readouterr().err
+
+
+def test_evaluate_matches_golden(tmp_path):
+    # golden files written by the string-rescoring evaluate that preceded
+    # per-sentence statistics; the fixture has an empty hypothesis (sentence
+    # 2), a truncated session (5), a short hypothesis (7) and a repeated
+    # reference (0 and 6)
+    fixture = FIXTURES / "evaluate"
+    out_dir = tmp_path / "traces"
+    assert main(["simulate", "--input", str(fixture / "test.jsonl"), "--out-dir", str(out_dir),
+                 "--backend", "dict", "--dict-file", str(fixture / "dict.json"),
+                 "--k", "1,3"]) == EXIT_PARTIAL
+    report, curve = tmp_path / "report.json", tmp_path / "curve.csv"
+    assert main(["evaluate", "--traces", str(out_dir), "--references", str(fixture / "test.jsonl"),
+                 "--report", str(report), "--curve", str(curve),
+                 "--histogram", str(tmp_path / "waits.json"),
+                 "--bootstrap", "20", "--seed", "3"]) == EXIT_OK
+    assert report.read_bytes() == (GOLDEN / "evaluate_report.json").read_bytes()
+    assert curve.read_bytes() == (GOLDEN / "evaluate_curve.csv").read_bytes()
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would; (exit code, stderr)."""
+    src = Path(simtrans.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "simtrans.cli", *map(str, argv)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, command", [
+    ("k", "0", "simulate"),
+    ("k", "two", "simulate"),
+    ("retries", "-1", "simulate-http"),
+    ("timeout-ms", "0", "simulate-http"),
+    ("window-ms", "0", "simulate"),
+    ("bootstrap", "-1", "evaluate"),
+    ("iterations", "0", "align"),
+    ("samples-per-pair", "0", "build-dataset"),
+])
+def test_out_of_range_option_is_one_error_line(tmp_path, toy_corpus, flag, value, command):
+    code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
+    assert code == EXIT_OK
+    argv = {
+        "simulate": ["simulate", "--input", test_set, "--out-dir", tmp_path / "o",
+                     "--backend", "dict", "--dict-file", tmp_path / "dict.json"],
+        "simulate-http": ["simulate", "--input", test_set, "--out-dir", tmp_path / "o",
+                          "--backend", "http", "--endpoint", "http://127.0.0.1:1/v1"],
+        "evaluate": ["evaluate", "--traces", out_dir, "--references", test_set],
+        "align": ["align", "--input", toy_corpus, "--output", tmp_path / "c.jsonl"],
+        "build-dataset": ["build-dataset", "--input", GOLDEN / "toy_align_causal.jsonl",
+                          "--output", tmp_path / "s.jsonl"],
+    }[command]
+    code, err = run_cli(*argv, f"--{flag}", value)
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: --{flag}")
+
+
+def _corrupt_trace(path, case):
+    rec = json.loads(path.read_text())
+    if case == "truncated":
+        path.write_text(path.read_text()[:40])
+        return "invalid JSON"
+    if case == "no-source":
+        path.write_text(json.dumps({"k": 1}))
+        return "lacks 'source'"
+    if case == "decreasing":
+        rec["delays_words"] = [2, 1, 3]
+        path.write_text(json.dumps(rec))
+        return "non-decreasing"
+    rec["delays_words"][-1] = rec["source_total"] + 1
+    path.write_text(json.dumps(rec))
+    return "exceeds the source length"
+
+
+@pytest.mark.parametrize("case", ["truncated", "no-source", "decreasing", "past-source"])
+def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
+    code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b c", "target": "A B C"}],
+                                             k="1")
+    assert code == EXIT_OK
+    trace = out_dir / "0000_k1.json"
+    expected = _corrupt_trace(trace, case)
+    capsys.readouterr()
+    code = main(["evaluate", "--traces", str(out_dir), "--references", str(test_set)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {trace}: ") and expected in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_corrupted_corpus(tmp_path, toy_corpus, capsys):

@@ -1,6 +1,8 @@
 import pytest
 
+import oracles
 from simtrans.backends import ScriptedBackend
+from simtrans.bleu import corpus_bleu, reference_stats
 from simtrans.engine import run_session
 from simtrans.errors import DegenerateInput, InputMismatch
 from simtrans.metrics import (
@@ -14,6 +16,7 @@ from simtrans.metrics import (
     is_truncated,
     length_adaptive_al,
     real_time_factor,
+    score_sessions,
     tradeoff_curve,
     wait_histogram,
 )
@@ -208,12 +211,12 @@ def test_aggregate_report_and_bootstrap():
     seqs = [seq([1, 2, 3], 3, ref=3), seq([2, 3, 3], 3, ref=3)]
     hyps = ["a b c d e", "d e f g h"]
     refs = ["a b c d e", "d e f g h"]
-    report = aggregate_report(seqs, hyps, refs)
+    report = aggregate_report(score_sessions(seqs, hyps, refs))
     assert report.bleu == pytest.approx(100.0, abs=1e-9)
     assert report.al == pytest.approx(1.5, abs=1e-9)
     assert report.session_count == 2
 
-    boot = bootstrap_reports(seqs, hyps, refs, 10, make_rng(3))
+    boot = bootstrap_reports(score_sessions(seqs, hyps, refs), 10, make_rng(3))
     assert boot["resamples"] == 10
     assert boot["al"]["mean"] == pytest.approx(1.5, abs=0.6)
     assert boot["bleu"]["std"] == pytest.approx(0.0, abs=1e-9)
@@ -223,17 +226,85 @@ def test_aggregate_order_independent(rng):
     seqs = [_random_monotone_seq(rng) for _ in range(12)]
     hyps = [f"word{i} extra{i} more{i} tail{i} end{i}" for i in range(12)]
     refs = [f"word{i} extra{i} more{i} tail{i} fin{i}" for i in range(12)]
-    base = aggregate_report(seqs, hyps, refs).to_record()
+    base = aggregate_report(score_sessions(seqs, hyps, refs)).to_record()
     order = list(rng.permutation(12))
-    shuffled = aggregate_report(
+    shuffled = aggregate_report(score_sessions(
         [seqs[i] for i in order], [hyps[i] for i in order], [refs[i] for i in order]
-    ).to_record()
+    )).to_record()
     for key in ("bleu", "al", "laal", "ap", "dal"):
         assert shuffled[key] == pytest.approx(base[key], rel=1e-12)
 
 
 def test_aggregate_skips_empty_hypotheses():
     seqs = [seq([1, 2], 2, ref=2), DelaySequence(g=[], source_len=2, ref_len=2)]
-    report = aggregate_report(seqs, ["a b", ""], ["a b", "c d"])
+    report = aggregate_report(score_sessions(seqs, ["a b", ""], ["a b", "c d"]))
     assert report.skipped_sessions == 1
     assert report.session_count == 2
+
+
+def _fuzz_session(rng, vocab, ref):
+    """A delay sequence and hypothesis for ref: empty, truncated or complete."""
+    roll = rng.random()
+    if roll < 0.15:
+        words = []
+    elif roll < 0.6:
+        # an edited copy of the reference, often cut short
+        words = [w if rng.random() < 0.8 else str(rng.choice(vocab)) for w in ref.split()]
+        words = words[: int(rng.integers(1, len(words) + 1))]
+    else:
+        words = [str(w) for w in rng.choice(vocab, size=int(rng.integers(1, 10)))]
+    scale = float(rng.choice([1.0, 137.5, 0.3]))
+    src = int(rng.integers(max(1, len(words)), len(words) + 6))
+    g, cur = [], int(rng.integers(1, src + 1))
+    for _ in words:
+        g.append(cur * scale)
+        cur = min(src, cur + int(rng.integers(0, 3)))
+    if words and rng.random() < 0.2:  # truncated: |x| is never reached
+        src += 2
+    d = DelaySequence(g=g, source_len=src * scale, hyp_len=len(words),
+                      ref_len=len(ref.split()))
+    return d, " ".join(words)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        result = fn(*args, **kwargs)
+    except DegenerateInput:
+        return "DegenerateInput"
+    return result.to_record() if isinstance(result, LatencyReport) else result
+
+
+def test_scores_match_string_oracles_fuzz():
+    # exact equality: integer statistics sum exactly and the latency means
+    # add the same floats in the same order as the string-loop oracles
+    for case in range(300):
+        rng = make_rng(case)
+        vocab = [f"w{i}" for i in range(int(rng.integers(2, 9)))] + [",", ".", "3.5", "x-y"]
+        pool = [" ".join(str(w) for w in rng.choice(vocab, size=int(rng.integers(1, 12))))
+                for _ in range(int(rng.integers(1, 8)))]
+        refs = [str(rng.choice(pool)) for _ in range(int(rng.integers(1, 11)))]
+        ref_stats = [reference_stats(r) for r in refs]
+        unit, rtf = ("ms", float(rng.random())) if case % 2 else ("words", None)
+        n_resamples = (1, 2, 17)[case % 3]
+        # two k groups over the same references share one statistics cache
+        for _group in range(2):
+            seqs, hyps = zip(*(_fuzz_session(rng, vocab, r) for r in refs))
+            scores = score_sessions(seqs, hyps, refs, ref_stats)
+            assert _outcome(aggregate_report, scores, unit=unit, rtf=rtf) == _outcome(
+                oracles.list_aggregate_report, seqs, hyps, refs, unit=unit, rtf=rtf
+            ), case
+            seed = int(rng.integers(0, 2**31))
+            got = _outcome(bootstrap_reports, scores, n_resamples, make_rng(seed),
+                           unit=unit, rtf=rtf)
+            want = _outcome(oracles.resample_bootstrap, seqs, hyps, refs, n_resamples,
+                            make_rng(seed), unit=unit, rtf=rtf)
+            assert got == want, case
+            assert corpus_bleu(hyps, refs) == oracles.string_corpus_bleu(hyps, refs), case
+
+
+def test_score_sessions_rejects_mismatched_counts():
+    seqs = [seq([1, 2], 2, ref=2)]
+    with pytest.raises(InputMismatch):
+        score_sessions(seqs, ["a b", "c"], ["a b"])
+    with pytest.raises(InputMismatch):
+        score_sessions(seqs, ["a b"], ["a b"], ref_stats=[])
