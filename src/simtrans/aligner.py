@@ -263,12 +263,12 @@ def align_pair(src, tgt, forward: TranslationTable, reverse: TranslationTable) -
     return align_corpus([(src, tgt)], forward, reverse)[0]
 
 
-def parse_pharaoh_line(line: str, line_no: int = None) -> set:
+def parse_pharaoh_line(line: str, line_no: int = None, path=None) -> set:
     links = set()
     for tok in line.split():
         i_s, sep, j_s = tok.partition("-")
         if sep != "-" or not i_s.isdigit() or not j_s.isdigit():
-            raise ParseError(f"bad alignment token {tok!r}", line_no)
+            raise ParseError(f"bad alignment token {tok!r}", line_no, path)
         links.add((int(i_s), int(j_s)))
     return links
 
@@ -285,14 +285,14 @@ def import_alignments(path, corpus) -> list:
         lines = fh.read().splitlines()
     if len(lines) != len(sizes):
         raise InputMismatch(
-            f"{len(lines)} alignment lines for {len(sizes)} corpus pairs"
+            f"{path}: {len(lines)} alignment lines for {len(sizes)} corpus pairs"
         )
     for n, (line, (src_len, tgt_len)) in enumerate(zip(lines, sizes), start=1):
-        links = parse_pharaoh_line(line, n)
+        links = parse_pharaoh_line(line, n, path)
         for i, j in links:
             if i >= src_len or j >= tgt_len:
                 raise BoundsError(
-                    f"line {n}: link ({i},{j}) outside {src_len}x{tgt_len}"
+                    f"{path}: line {n}: link ({i},{j}) outside {src_len}x{tgt_len}"
                 )
         out.append(AlignmentLinkSet(links=links, source_len=src_len, target_len=tgt_len))
     return out

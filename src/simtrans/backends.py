@@ -1,9 +1,11 @@
-"""Translator backends: word-unit producers driven by prompt text.
+"""Translator backends: word-unit producers driven by the session prompt.
 
 A backend maps a prompt to exactly one unit per call: a word, a wait signal
-or end-of-sentence. The engine passes allow_wait=False when waits are being
-suppressed after source exhaustion; honoring it is best-effort for remote
-backends and exact for the rule-based mocks.
+or end-of-sentence. The prompt is a prompt.Prompt: remote, recording and
+replay backends send or hash its text, and the dictionary backend reads the
+source and target words it carries. The engine passes allow_wait=False when
+waits are being suppressed after source exhaustion; honoring it is
+best-effort for remote backends and exact for the rule-based mocks.
 """
 
 import base64
@@ -20,10 +22,11 @@ from dataclasses import dataclass
 from .errors import (
     BackendUnavailable,
     MalformedResponse,
+    ParseError,
     ReplayMiss,
     ScriptUnderrun,
 )
-from .prompt import split_prompt
+from .prompt import Prompt
 from .units import Signal, Unit, WAIT_TOKEN, unit_from_str, unit_to_str
 
 
@@ -54,8 +57,8 @@ class DictionaryBackend:
         self.mapping = dict(mapping)
         self.lookahead = lookahead
 
-    def next_unit(self, prompt: str, allow_wait: bool = True) -> Unit:
-        source_words, target_words = split_prompt(prompt)
+    def next_unit(self, prompt: Prompt, allow_wait: bool = True) -> Unit:
+        source_words, target_words = prompt.source, prompt.target
         idx = len(target_words)
         if idx >= len(source_words):
             return Signal.WAIT if allow_wait else Signal.EOS
@@ -71,7 +74,6 @@ class HttpBackendConfig:
     api_key_env: str = None       # name of the env var holding the bearer token
     top_p: float = 0.7
     max_unit_tokens: int = 12
-    wait_literal: str = WAIT_TOKEN
     timeout_ms: float = 30000.0
     retries: int = 2
 
@@ -86,7 +88,7 @@ class HttpBackend:
     """Client for JSON-over-HTTP completion servers.
 
     Requests one unit per call using greedy decoding (temperature 0 with
-    top_p passed through) and stop sequences [" ", wait literal] so the
+    top_p passed through) and stop sequences [" ", "<WAIT>"] so the
     server returns at most one word. Responses: {"choices": [{"text": ...,
     "finish_reason": "stop"|"length"}]}; empty text with finish_reason
     "stop" means the sequence ended.
@@ -180,7 +182,7 @@ class HttpBackend:
     def _request(self, prompt: str, allow_wait: bool) -> dict:
         stop = [" "]
         if allow_wait:
-            stop.append(self.cfg.wait_literal)
+            stop.append(WAIT_TOKEN)
         payload = {
             "model": self.cfg.model_name,
             "prompt": prompt,
@@ -219,18 +221,17 @@ class HttpBackend:
             raise MalformedResponse(f"unexpected response shape: {data!r}") from exc
 
         stripped = text.strip()
-        wait = self.cfg.wait_literal
         if not allow_wait:
             # suppression is best-effort: skip leading wait literals
-            while stripped.startswith(wait):
-                stripped = stripped[len(wait):].lstrip()
+            while stripped.startswith(WAIT_TOKEN):
+                stripped = stripped[len(WAIT_TOKEN):].lstrip()
         if not stripped:
             if finish == "stop":
                 return Signal.EOS
             raise MalformedResponse(
                 f"whitespace-only completion with finish_reason={finish!r}"
             )
-        if stripped.startswith(wait):
+        if stripped.startswith(WAIT_TOKEN):
             return Signal.WAIT
         return stripped.split()[0]
 
@@ -286,11 +287,17 @@ def prompt_hash(prompt: str) -> str:
 def load_recording(path) -> dict:
     table = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc}", n, path) from exc
+            if not (isinstance(rec, dict) and isinstance(rec.get("prompt_sha256"), str)
+                    and isinstance(rec.get("unit"), str)):
+                raise ParseError("a record needs prompt_sha256 and unit strings", n, path)
             table.setdefault(rec["prompt_sha256"], []).append(rec["unit"])
     return table
 

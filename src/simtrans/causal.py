@@ -118,20 +118,22 @@ def pair_to_record(pair: CausalPair) -> dict:
     }
 
 
-def pair_from_record(record: dict, line_no: int = None) -> CausalPair:
+def pair_from_record(record: dict, line_no: int = None, path=None) -> CausalPair:
     try:
         source = list(record["source"])
         target = list(record["target"])
         links = {(int(i), int(j)) for i, j in record["links"]}
+        wait_count = int(record.get("waits", target.count(WAIT_TOKEN)))
+        filler_count = int(record.get("fillers", source.count(FILLER_TOKEN)))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad causal corpus record: {exc}", line_no) from exc
+        raise ParseError(f"bad causal corpus record: {exc}", line_no, path) from exc
     stripped_src = [w for w in source if w != FILLER_TOKEN]
     stripped_tgt = [w for w in target if w != WAIT_TOKEN]
     return CausalPair(
         source_words=source,
         target_words=target,
-        wait_count=int(record.get("waits", target.count(WAIT_TOKEN))),
-        filler_count=int(record.get("fillers", source.count(FILLER_TOKEN))),
+        wait_count=wait_count,
+        filler_count=filler_count,
         origin_links=AlignmentLinkSet(
             links=links, source_len=len(stripped_src), target_len=len(stripped_tgt)
         ),
@@ -154,8 +156,8 @@ def read_corpus(path) -> list:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", n) from exc
-            out.append(pair_from_record(record, n))
+                raise ParseError(f"invalid JSON: {exc}", n, path) from exc
+            out.append(pair_from_record(record, n, path))
     return out
 
 

@@ -25,6 +25,7 @@ from .backends import (
     load_recording,
 )
 from .errors import SessionError, SimtransError
+from .prompt import DEFAULT_TARGET_LANGUAGE
 from .rng import make_rng
 from .tokenizer import tokenize
 
@@ -41,13 +42,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _read_json(path):
+    """One whole-file JSON document, or an error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SimtransError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _load_config(path):
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
-        raise SimtransError(f"config file {path} must hold a JSON object")
+        raise SimtransError(f"{path}: a config file must hold a JSON object")
     return cfg
 
 
@@ -102,8 +111,9 @@ def _read_jsonl(path):
 def _read_pair_file(path):
     pairs = []
     for n, rec in _read_jsonl(path):
-        if "source" not in rec or "target" not in rec:
-            raise SimtransError(f"{path}: line {n}: record needs source and target")
+        if not (isinstance(rec, dict) and isinstance(rec.get("source"), str)
+                and isinstance(rec.get("target"), str)):
+            raise SimtransError(f"{path}: line {n}: record needs source and target strings")
         pairs.append((rec["source"], rec["target"]))
     return pairs
 
@@ -169,7 +179,7 @@ def cmd_build_dataset(args, config) -> int:
     samples_per_pair = _at_least(
         "samples_per_pair", resolve_option(args, config, "samples_per_pair", 1, int), 1
     )
-    language = resolve_option(args, config, "target_language", "German")
+    language = resolve_option(args, config, "target_language", DEFAULT_TARGET_LANGUAGE)
     corpus = causal.read_corpus(args.input)
     cfg = sft.SftConfig(
         seed=seed, samples_per_pair=samples_per_pair, target_language=language
@@ -188,8 +198,9 @@ def _build_shared_backend(args, config):
     if backend_kind == "dict":
         if not args.dict_file:
             raise SimtransError("--dict-file is required for the dict backend")
-        with open(args.dict_file, encoding="utf-8") as fh:
-            mapping = json.load(fh)
+        mapping = _read_json(args.dict_file)
+        if not (isinstance(mapping, dict) and all(isinstance(v, str) for v in mapping.values())):
+            raise SimtransError(f"{args.dict_file}: a dictionary maps words to words")
         lookahead = resolve_option(args, config, "lookahead", 0, int)
         return backend_kind, DictionaryBackend(mapping, lookahead=lookahead)
     if backend_kind == "replay":
@@ -199,8 +210,13 @@ def _build_shared_backend(args, config):
     if backend_kind == "scripted":
         if not args.script_file:
             raise SimtransError("--script-file is required for the scripted backend")
-        with open(args.script_file, encoding="utf-8") as fh:
-            scripts = json.load(fh)
+        scripts = _read_json(args.script_file)
+        if not (isinstance(scripts, list) and all(
+                isinstance(units, list) and all(isinstance(u, str) for u in units)
+                for units in scripts)):
+            raise SimtransError(
+                f"{args.script_file}: a script file holds one list of unit strings per sentence"
+            )
         return backend_kind, scripts
     if backend_kind == "http":
         endpoint = resolve_option(args, config, "endpoint", None)
@@ -226,6 +242,7 @@ def cmd_simulate(args, config) -> int:
     k_list = _parse_k_list(resolve_option(args, config, "k", "1"))
     workers = resolve_option(args, config, "workers", 1, int)
     window_ms = _positive("window_ms", resolve_option(args, config, "window_ms", 200.0, float))
+    language = resolve_option(args, config, "target_language", DEFAULT_TARGET_LANGUAGE)
     os.makedirs(args.out_dir, exist_ok=True)
 
     if mode == "text":
@@ -252,6 +269,7 @@ def cmd_simulate(args, config) -> int:
 
     engine_cfg = engine.EngineConfig(
         include_system=not args.no_system_message,
+        target_language=language,
         wall_clock=args.wall_clock,
     )
     jobs = [(idx, k) for idx in range(len(sources)) for k in k_list]
@@ -309,11 +327,7 @@ def _default_function_words():
 
 def _read_trace(path):
     """One trace file, or an error naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SimtransError(f"{path}: invalid JSON: {exc}") from exc
+    rec = _read_json(path)
     if not isinstance(rec, dict):
         raise SimtransError(f"{path}: a trace must be a JSON object")
     try:
@@ -477,6 +491,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--retries", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--window-ms", dest="window_ms", type=float, default=None)
+    p.add_argument("--target-language", dest="target_language", default=None)
     p.add_argument("--no-system-message", action="store_true")
     p.add_argument("--wall-clock", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import SessionError, SimtransError, WaitOverflow
-from .prompt import build_prompt, interpreter_system_message
+from .prompt import DEFAULT_TARGET_LANGUAGE, build_prompt, interpreter_system_message
 from .streams import SourceStream, TextStream
 from .units import Signal, WAIT_TOKEN
 
@@ -32,18 +32,9 @@ MAX_SUPPRESSED_WAITS = 3
 
 @dataclass
 class EngineConfig:
-    system_message: str = None     # None -> interpreter default
     include_system: bool = True    # False drops the <<SYS>> block entirely
-    target_language: str = "German"
-    wait_literal: str = WAIT_TOKEN
+    target_language: str = DEFAULT_TARGET_LANGUAGE
     wall_clock: bool = False       # stamp events and measure processing time
-
-    def resolved_system_message(self):
-        if not self.include_system:
-            return None
-        if self.system_message is not None:
-            return self.system_message
-        return interpreter_system_message(self.target_language, self.wait_literal)
 
 
 @dataclass
@@ -140,7 +131,9 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
     if not isinstance(source, SourceStream):
         source = TextStream(source)
 
-    system_message = cfg.resolved_system_message()
+    system_message = (
+        interpreter_system_message(cfg.target_language) if cfg.include_system else None
+    )
     started = time.monotonic() if cfg.wall_clock else None
 
     def now_ms():
@@ -216,7 +209,7 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
         if not isinstance(word, str) or not word or any(c.isspace() for c in word):
             err = f"backend returned invalid word unit {word!r}"
             raise SessionError(err, partial_trace=make_trace(error=err))
-        if word == cfg.wait_literal:
+        if word == WAIT_TOKEN:
             err = "backend returned the wait literal as a word unit"
             raise SessionError(err, partial_trace=make_trace(error=err))
         committed.append(word)

@@ -14,10 +14,14 @@ class EmptyCorpus(SimtransError):
 
 
 class ParseError(SimtransError):
-    """A malformed input line; carries the 1-based line number."""
+    """A malformed input; names the file and 1-based line number when known."""
 
-    def __init__(self, message, line_no=None):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+    def __init__(self, message, line_no=None, path=None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
         self.line_no = line_no
 
 

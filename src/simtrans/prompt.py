@@ -15,8 +15,8 @@ the prompt ends with "[/INST] " including the trailing space. Disabling the
 system message removes the whole <<SYS>> block (the fast-inference variant).
 
 build_prompt returns a Prompt: the text itself, as a str, that also carries
-the word lists it was built from, so a backend that works on words reads
-them without parsing the text back.
+the word tuples it was built from, so a backend that works on words reads
+prompt.source and prompt.target instead of parsing the text back.
 """
 
 from .units import WAIT_TOKEN
@@ -33,10 +33,9 @@ _INTERPRETER_MESSAGE = (
 )
 
 
-def interpreter_system_message(language: str = DEFAULT_TARGET_LANGUAGE,
-                               wait_token: str = WAIT_TOKEN) -> str:
-    """Default system message instructing interpreter behavior."""
-    return _INTERPRETER_MESSAGE.format(language=language, wait_token=wait_token)
+def interpreter_system_message(language: str = DEFAULT_TARGET_LANGUAGE) -> str:
+    """The system message of every SFT sample and inference prompt."""
+    return _INTERPRETER_MESSAGE.format(language=language, wait_token=WAIT_TOKEN)
 
 
 class Prompt(str):
@@ -59,21 +58,3 @@ def build_prompt(partial_source, partial_target, system_message=None) -> Prompt:
     text = f"{head}Translate this text: {' '.join(source)} [/INST] {' '.join(target)}"
     return Prompt(text, source, target)
 
-
-def split_prompt(prompt: str):
-    """(source words, target words) of a prompt, as tuples.
-
-    A Prompt hands over the words it was built from. Plain text is split on
-    the last "[/INST]" marker, which assumes ordinary words that do not
-    themselves contain the marker.
-    """
-    if isinstance(prompt, Prompt):
-        return prompt.source, prompt.target
-    marker = " [/INST] "
-    head, sep, target_text = prompt.rpartition(marker)
-    if not sep:
-        return (), ()
-    lead = "Translate this text: "
-    pos = head.rfind(lead)
-    source_text = head[pos + len(lead):] if pos >= 0 else ""
-    return tuple(source_text.split()), tuple(target_text.split())

@@ -20,20 +20,13 @@ from .units import FILLER_TOKEN, WAIT_TOKEN
 
 @dataclass
 class SftConfig:
-    system_message: str = None  # None -> interpreter default for target_language
     target_language: str = DEFAULT_TARGET_LANGUAGE
-    wait_literal: str = WAIT_TOKEN
     seed: int = 0
     samples_per_pair: int = 1
 
     def __post_init__(self):
         if self.samples_per_pair < 1:
             raise ValueError("samples_per_pair must be >= 1")
-
-    def resolved_system_message(self) -> str:
-        if self.system_message is not None:
-            return self.system_message
-        return interpreter_system_message(self.target_language, self.wait_literal)
 
 
 @dataclass
@@ -76,7 +69,7 @@ def trim_pair(pair: CausalPair, l: int):
 
 def make_sample(pair: CausalPair, l: int, cfg: SftConfig) -> SftSample:
     partial_source, partial_target = trim_pair(pair, l)
-    prompt = build_prompt(partial_source, [], cfg.resolved_system_message())
+    prompt = build_prompt(partial_source, [], interpreter_system_message(cfg.target_language))
     return SftSample(
         prompt=prompt,
         completion=" ".join(partial_target),
@@ -118,11 +111,11 @@ def training_meta(cfg: SftConfig) -> dict:
         "warmup_steps": 10,
         "lr_schedule": "cosine_decay",
         "load_in_4bit": True,
-        "wait_token": cfg.wait_literal,
+        "wait_token": WAIT_TOKEN,
         "wait_token_id": 0,
         "seed": cfg.seed,
         "samples_per_pair": cfg.samples_per_pair,
-        "system_message": cfg.resolved_system_message(),
+        "system_message": interpreter_system_message(cfg.target_language),
     }
 
 

@@ -10,6 +10,8 @@ to clip it mid-phoneme. Once the full audio is in, everything is exposed.
 import json
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 
 class SourceStream:
     """Iterable of (word, stream clock) pairs plus clock metadata."""
@@ -76,7 +78,16 @@ class TimedTranscript:
 
 def read_transcript(path) -> TimedTranscript:
     with open(path, encoding="utf-8") as fh:
-        return TimedTranscript.from_record(json.load(fh))
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", path=path) from exc
+    try:
+        return TimedTranscript.from_record(record)
+    except KeyError as exc:
+        raise ParseError(f"transcript lacks {exc}", path=path) from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad transcript: {exc}", path=path) from exc
 
 
 def write_transcript(transcript: TimedTranscript, path) -> None:

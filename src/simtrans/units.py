@@ -12,7 +12,7 @@ FILLER_TOKEN = "<FILLER>"
 
 
 class Signal(enum.Enum):
-    WAIT = "<WAIT>"
+    WAIT = WAIT_TOKEN
     EOS = "<EOS>"
 
 

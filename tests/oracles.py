@@ -4,8 +4,9 @@ Everything here recomputes expected values by a different route than the
 package code: dictionary-based EM, per-cell argmax linking through table
 lookups, exhaustive search over wait placements, a from-scratch causality
 scan over raw corpus records, ASR windowing that rescans every word on
-every tick, and evaluation that re-tokenizes and re-counts every sentence of
-every resample from its strings.
+every tick, evaluation that re-tokenizes and re-counts every sentence of
+every resample from its strings, and prompt words parsed back from the
+prompt text.
 """
 
 import math
@@ -141,6 +142,22 @@ def asr_rescan(end_ms, total_ms, window_ms, drop_last_word=True):
         while len(ticks) < exposed:
             ticks.append(tick)
     return ticks
+
+
+def prompt_words(text):
+    """(source words, target words) of a prompt, parsed from its text.
+
+    Splits on the last " [/INST] " marker and the last "Translate this
+    text: " lead before it, which assumes ordinary words that contain
+    neither; text without the marker has no words.
+    """
+    head, sep, target_text = text.rpartition(" [/INST] ")
+    if not sep:
+        return (), ()
+    lead = "Translate this text: "
+    pos = head.rfind(lead)
+    source_text = head[pos + len(lead):] if pos >= 0 else ""
+    return tuple(source_text.split()), tuple(target_text.split())
 
 
 def regex_tokenize_13a(line):

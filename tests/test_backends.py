@@ -23,8 +23,10 @@ from simtrans.errors import (
     ReplayMiss,
     SessionError,
 )
-from simtrans.prompt import build_prompt, split_prompt
+from simtrans.prompt import build_prompt
 from simtrans.units import Signal
+
+from oracles import prompt_words
 
 
 class _CompletionHandler(BaseHTTPRequestHandler):
@@ -240,7 +242,7 @@ class _DictHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self._note()
-        source, target = split_prompt(payload["prompt"])
+        source, target = prompt_words(payload["prompt"])
         if len(target) < len(source):
             text = source[len(target)].upper()
         else:

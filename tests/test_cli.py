@@ -294,6 +294,60 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
 
 
+_NOT_JSON = '{"truncated": '
+_GOOD_WORDS = {"w": "a", "end_ms": 100.0}
+
+
+@pytest.mark.parametrize("reader, content", [
+    ("config", _NOT_JSON),
+    ("config", "[1]"),
+    ("dict", _NOT_JSON),
+    ("dict", '["a"]'),
+    ("script", _NOT_JSON),
+    ("script", "[1]"),
+    ("recording", _NOT_JSON),
+    ("recording", '{"x": 1}'),
+    ("transcript", _NOT_JSON),
+    ("transcript", json.dumps({"words": [{"w": "a"}], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [_GOOD_WORDS, _GOOD_WORDS], "total_ms": 100.0})),
+    ("causal", _NOT_JSON),
+    ("alignments", "0-x"),
+], ids=["config-not-json", "config-list", "dict-not-json", "dict-list", "script-not-json",
+        "script-not-lists", "recording-not-json", "recording-no-hash", "transcript-not-json",
+        "transcript-no-end", "transcript-not-increasing", "causal-not-json",
+        "alignments-bad-token"])
+def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
+                                                           reader, content):
+    bad = tmp_path / "bad.json"
+    if reader == "transcript":
+        (tmp_path / "audio").mkdir()
+        bad = tmp_path / "audio" / "0000.json"
+    bad.write_text(content)
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": "a b", "target": "x y"}])
+    simulate = ["simulate", "--input", test_set, "--out-dir", tmp_path / "o"]
+    argv = {
+        "config": ["--config", bad, "align", "--input", toy_corpus,
+                   "--output", tmp_path / "c.jsonl"],
+        "dict": [*simulate, "--backend", "dict", "--dict-file", bad],
+        "script": [*simulate, "--backend", "scripted", "--script-file", bad],
+        "recording": [*simulate, "--backend", "replay", "--recording", bad],
+        "transcript": ["simulate", "--input", tmp_path / "audio", "--out-dir", tmp_path / "o",
+                       "--mode", "speech", "--backend", "dict",
+                       "--dict-file", FIXTURES / "evaluate" / "dict.json"],
+        "causal": ["build-dataset", "--input", bad, "--output", tmp_path / "s.jsonl"],
+        "alignments": ["align", "--input", test_set, "--output", tmp_path / "c.jsonl",
+                       "--alignments", bad],
+    }[reader]
+    code, err = run_cli(*argv)
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {bad}: ")
+    if reader in ("causal", "alignments"):
+        assert err.startswith(f"error: {bad}: line 1: ")
+
+
 def test_verify_corrupted_corpus(tmp_path, toy_corpus, capsys):
     causal = tmp_path / "causal.jsonl"
     main(["align", "--input", str(toy_corpus), "--output", str(causal)])
@@ -393,6 +447,50 @@ def test_record_then_replay_byte_identical(tmp_path):
         for (src, tgt), unit in calls
     )
     assert recording.read_text(encoding="utf-8") == expected
+
+
+def test_target_language_reaches_samples_meta_and_simulate(tmp_path):
+    # a model fine-tuned on these samples is prompted with the same system message
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"target_language": "Russian"}))
+    samples = tmp_path / "samples.jsonl"
+    assert main(["--config", str(config), "build-dataset", "--input",
+                 str(GOLDEN / "toy_align_causal.jsonl"), "--output", str(samples)]) == EXIT_OK
+    first = json.loads(samples.read_text(encoding="utf-8").splitlines()[0])
+    sys_block = first["prompt"].split("<<SYS>>\n\n", 1)[1].split("\n<</SYS>>", 1)[0]
+    meta = json.loads((tmp_path / "samples.jsonl.meta.json").read_text(encoding="utf-8"))
+    assert sys_block == meta["system_message"]
+    assert "into Russian" in sys_block
+
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": "grüß dich", "target": "hi there"}])
+    script_file = tmp_path / "script.json"
+    script_file.write_text(json.dumps([["<WAIT>", "hallö", "<EOS>"]]))
+    recording = tmp_path / "rec.jsonl"
+    assert main(["--config", str(config), "simulate", "--input", str(test_set),
+                 "--out-dir", str(tmp_path / "traces"), "--k", "1",
+                 "--backend", "scripted", "--script-file", str(script_file),
+                 "--record", str(recording)]) == EXIT_OK
+    first_call = json.loads(recording.read_text(encoding="utf-8").splitlines()[0])
+    prompt = build_prompt(["grüß"], [], sys_block)
+    assert first_call["prompt_sha256"] == hashlib.sha256(prompt.encode()).hexdigest()
+
+
+def test_simulate_target_language_flag_beats_config(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"target_language": "Russian"}))
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": "a", "target": "x"}])
+    script_file = tmp_path / "script.json"
+    script_file.write_text(json.dumps([["x", "<EOS>"]]))
+    recording = tmp_path / "rec.jsonl"
+    assert main(["--config", str(config), "simulate", "--input", str(test_set),
+                 "--out-dir", str(tmp_path / "traces"), "--k", "1",
+                 "--backend", "scripted", "--script-file", str(script_file),
+                 "--record", str(recording), "--target-language", "French"]) == EXIT_OK
+    first_call = json.loads(recording.read_text(encoding="utf-8").splitlines()[0])
+    prompt = build_prompt(["a"], [], interpreter_system_message("French"))
+    assert first_call["prompt_sha256"] == hashlib.sha256(prompt.encode()).hexdigest()
 
 
 def test_cli_imports_without_requests():
