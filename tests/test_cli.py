@@ -295,7 +295,7 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
 
 
 _NOT_JSON = '{"truncated": '
-_GOOD_WORDS = {"w": "a", "end_ms": 100.0}
+_WORD_AT_100MS = {"w": "a", "end_ms": 100.0}
 
 
 @pytest.mark.parametrize("reader, content", [
@@ -309,7 +309,7 @@ _GOOD_WORDS = {"w": "a", "end_ms": 100.0}
     ("recording", '{"x": 1}'),
     ("transcript", _NOT_JSON),
     ("transcript", json.dumps({"words": [{"w": "a"}], "total_ms": 100.0})),
-    ("transcript", json.dumps({"words": [_GOOD_WORDS, _GOOD_WORDS], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [_WORD_AT_100MS, _WORD_AT_100MS], "total_ms": 100.0})),
     ("causal", _NOT_JSON),
     ("alignments", "0-x"),
 ], ids=["config-not-json", "config-list", "dict-not-json", "dict-list", "script-not-json",
