@@ -6,7 +6,6 @@ from .aligner import (
     TranslationTable,
     align_corpus,
     align_pair,
-    export_alignments,
     import_alignments,
     train_table,
 )

@@ -273,10 +273,6 @@ def parse_pharaoh_line(line: str, line_no: int = None, path=None) -> set:
     return links
 
 
-def format_pharaoh_line(links) -> str:
-    return " ".join(f"{i}-{j}" for i, j in sorted(links))
-
-
 def import_alignments(path, corpus) -> list:
     """Read Pharaoh "i-j" lines, validating bounds against a companion corpus."""
     sizes = [(len(_word_list(s)), len(_word_list(t))) for s, t in corpus]
@@ -296,9 +292,3 @@ def import_alignments(path, corpus) -> list:
                 )
         out.append(AlignmentLinkSet(links=links, source_len=src_len, target_len=tgt_len))
     return out
-
-
-def export_alignments(link_sets, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ls in link_sets:
-            fh.write(format_pharaoh_line(ls.links) + "\n")

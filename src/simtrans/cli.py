@@ -1,9 +1,9 @@
 """Command-line pipeline: align, build-dataset, simulate, evaluate, verify.
 
-Option values resolve as flags > config file (--config, JSON object) >
-SIMTRANS_* environment variables > built-in defaults. Exit codes: 0 success,
-1 usage or input error, 2 a run completed with per-session failures,
-3 verification found violations.
+Option values other than paths and on/off switches resolve as flags > config
+file (--config, JSON object) > SIMTRANS_* environment variables > built-in
+defaults. Exit codes: 0 success, 1 usage or input error, 2 a run completed
+with per-session failures, 3 verification found violations.
 """
 
 import argparse
@@ -60,7 +60,13 @@ def _load_config(path):
     return cfg
 
 
-def resolve_option(args, config, name, default, cast=None):
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def resolve_option(args, config, name, default, cast=_string):
     """flags > config file > SIMTRANS_<NAME> env var > default."""
     value = getattr(args, name, None)
     if value is None:
@@ -69,8 +75,6 @@ def resolve_option(args, config, name, default, cast=None):
         value = os.environ.get(f"SIMTRANS_{name.upper()}")
     if value is None:
         return default
-    if cast is None:
-        return value
     try:
         return cast(value)
     except (TypeError, ValueError) as exc:
@@ -109,13 +113,22 @@ def _read_jsonl(path):
 
 
 def _read_pair_file(path):
+    """(line number, source, target) per record."""
     pairs = []
     for n, rec in _read_jsonl(path):
         if not (isinstance(rec, dict) and isinstance(rec.get("source"), str)
                 and isinstance(rec.get("target"), str)):
             raise SimtransError(f"{path}: line {n}: record needs source and target strings")
-        pairs.append((rec["source"], rec["target"]))
+        pairs.append((n, rec["source"], rec["target"]))
     return pairs
+
+
+def _tokenize_line(path, n, text):
+    """tokenize(text), or an error naming the file and line it came from."""
+    try:
+        return tokenize(text)
+    except SimtransError as exc:
+        raise SimtransError(f"{path}: line {n}: {exc}") from exc
 
 
 def _atomic_write(path, text):
@@ -146,13 +159,10 @@ def cmd_align(args, config) -> int:
         resolve_option(args, config, "iterations", aligner.DEFAULT_ITERATIONS, int),
         1,
     )
-    raw_pairs = _read_pair_file(args.input)
-    tokenized = []
-    for idx, (src, tgt) in enumerate(raw_pairs):
-        try:
-            tokenized.append((tokenize(src), tokenize(tgt)))
-        except SimtransError as exc:
-            raise SimtransError(f"pair {idx}: {exc}") from exc
+    tokenized = [
+        (_tokenize_line(args.input, n, src), _tokenize_line(args.input, n, tgt))
+        for n, src, tgt in _read_pair_file(args.input)
+    ]
 
     if args.alignments:
         imported = aligner.import_alignments(args.alignments, tokenized)
@@ -239,15 +249,15 @@ def _build_shared_backend(args, config):
 
 def cmd_simulate(args, config) -> int:
     mode = resolve_option(args, config, "mode", "text")
-    k_list = _parse_k_list(resolve_option(args, config, "k", "1"))
-    workers = resolve_option(args, config, "workers", 1, int)
+    k_list = resolve_option(args, config, "k", [1], _parse_k_list)
+    workers = _at_least("workers", resolve_option(args, config, "workers", 1, int), 1)
     window_ms = _positive("window_ms", resolve_option(args, config, "window_ms", 200.0, float))
     language = resolve_option(args, config, "target_language", DEFAULT_TARGET_LANGUAGE)
     os.makedirs(args.out_dir, exist_ok=True)
 
     if mode == "text":
-        pairs = _read_pair_file(args.input)
-        sources = [tokenize(src).words for src, _ in pairs]
+        sources = [_tokenize_line(args.input, n, src).words
+                   for n, src, _ in _read_pair_file(args.input)]
         make_stream = lambda idx: streams.TextStream(sources[idx])
     elif mode == "speech":
         paths = sorted(glob.glob(os.path.join(args.input, "*.json")))
@@ -326,17 +336,41 @@ def _default_function_words():
 
 
 def _read_trace(path):
-    """One trace file, or an error naming the file."""
+    """One trace record with each field evaluate scores checked (delays by
+    metrics.DelaySequence, events by _trace_events), or an error naming the file."""
     rec = _read_json(path)
     if not isinstance(rec, dict):
         raise SimtransError(f"{path}: a trace must be a JSON object")
+    for key in ("source", "hypothesis", "k"):
+        if key not in rec:
+            raise SimtransError(f"{path}: trace record lacks {key!r}")
+    rec.setdefault("mode", "text")
+    hypothesis = rec["hypothesis"]
+    for ok, problem in (
+        (isinstance(rec.get("id"), str), "id must be a string"),
+        (type(rec["k"]) is int, "k must be an integer"),
+        (isinstance(hypothesis, list) and all(isinstance(w, str) for w in hypothesis),
+         "hypothesis must be a list of words"),
+        (rec["mode"] in ("text", "speech"), "mode must be text or speech"),
+        (isinstance(rec.get("source_total"), (int, float)), "source_total must be a number"),
+        (rec.get("processing_ms") is None or isinstance(rec["processing_ms"], (int, float)),
+         "processing_ms must be a number"),
+    ):
+        if not ok:
+            raise SimtransError(f"{path}: {problem}")
+    return rec
+
+
+def _trace_events(path, rec):
+    """The event records of one trace, checked for what wait_histogram reads."""
+    events = rec.get("events", [])
     try:
-        trace = engine.trace_from_record(rec)
-    except KeyError as exc:
-        raise SimtransError(f"{path}: trace record lacks {exc}") from exc
-    if not isinstance(trace.source_total, (int, float)):
-        raise SimtransError(f"{path}: source_total must be a number")
-    return trace
+        for e in events:
+            if e["kind"] == "read" and not isinstance(e["word"], str):
+                raise TypeError(e)
+    except (TypeError, KeyError) as exc:
+        raise SimtransError(f"{path}: events must be a list of event records") from exc
+    return events
 
 
 def cmd_evaluate(args, config) -> int:
@@ -346,18 +380,17 @@ def cmd_evaluate(args, config) -> int:
     trace_paths = sorted(glob.glob(os.path.join(args.traces, "*.json")))
     if not trace_paths:
         raise SimtransError(f"no trace files in {args.traces}")
-    traces = [_read_trace(path) for path in trace_paths]
+    traces = [(path, _read_trace(path)) for path in trace_paths]
+    event_lists = [_trace_events(path, rec) for path, rec in traces] if args.histogram else None
 
     pairs = _read_pair_file(args.references)
-    references = {f"{idx:04d}": tgt for idx, (_, tgt) in enumerate(pairs)}
+    references = {f"{idx:04d}": (n, tgt) for idx, (n, _, tgt) in enumerate(pairs)}
 
     by_k = {}
-    for path, trace in zip(trace_paths, traces):
-        if trace.session_id not in references:
-            raise SimtransError(
-                f"no reference for trace id {trace.session_id!r}"
-            )
-        by_k.setdefault(trace.k, []).append((path, trace))
+    for path, rec in traces:
+        if rec["id"] not in references:
+            raise SimtransError(f"{path}: no reference for trace id {rec['id']!r}")
+        by_k.setdefault(rec["k"], []).append((path, rec))
 
     # each reference is tokenized once, however many k groups score it
     ref_cache = {}
@@ -368,31 +401,34 @@ def cmd_evaluate(args, config) -> int:
         total_processing = 0.0
         total_audio = 0.0
         timed = True
-        for path, trace in group:
-            ref_text = references[trace.session_id]
-            if trace.session_id not in ref_cache:
-                ref_cache[trace.session_id] = (
-                    bleu.reference_stats(ref_text), len(tokenize(ref_text).words)
+        for path, rec in group:
+            session_id = rec["id"]
+            n, ref_text = references[session_id]
+            if session_id not in ref_cache:
+                ref_cache[session_id] = (
+                    bleu.reference_stats(ref_text),
+                    len(_tokenize_line(args.references, n, ref_text).words),
                 )
-            stats, ref_len = ref_cache[trace.session_id]
+            stats, ref_len = ref_cache[session_id]
+            speech = rec["mode"] == "speech"
             try:
                 delay_seqs.append(metrics.DelaySequence(
-                    g=trace.delays,
-                    source_len=trace.source_total,
-                    hyp_len=len(trace.hypothesis_words),
+                    g=rec.get("delays_ms" if speech else "delays_words", []),
+                    source_len=rec["source_total"],
+                    hyp_len=len(rec["hypothesis"]),
                     ref_len=ref_len,
                 ))
             except (TypeError, ValueError) as exc:
                 raise SimtransError(f"{path}: {exc}") from exc
-            hyps.append(" ".join(trace.hypothesis_words))
+            hyps.append(" ".join(rec["hypothesis"]))
             refs.append(ref_text)
             ref_stats.append(stats)
-            if trace.processing_ms is None or trace.mode != "speech":
+            if rec.get("processing_ms") is None or not speech:
                 timed = False
             else:
-                total_processing += trace.processing_ms
-                total_audio += trace.source_total
-        unit = "ms" if group[0][1].mode == "speech" else "words"
+                total_processing += rec["processing_ms"]
+                total_audio += rec["source_total"]
+        unit = "ms" if group[0][1]["mode"] == "speech" else "words"
         rtf = metrics.real_time_factor(total_processing, total_audio) if timed else None
         scores = metrics.score_sessions(delay_seqs, hyps, refs, ref_stats)
         reports[k] = metrics.aggregate_report(scores, unit=unit, rtf=rtf)
@@ -420,7 +456,7 @@ def cmd_evaluate(args, config) -> int:
             if args.function_words
             else _default_function_words()
         )
-        hist = metrics.wait_histogram(traces, words)
+        hist = metrics.wait_histogram(event_lists, words)
         _atomic_write(args.histogram, json.dumps({
             "counts": hist.counts,
             "function_count": hist.function_count,

@@ -16,6 +16,10 @@ whole stream is shorter than k). Once the stream is exhausted reveals become
 no-ops and generation keeps going until end-of-sentence; a wait arriving then
 is discarded, the backend is re-asked with waits suppressed, and three
 consecutive suppressed waits abort the session as a livelock.
+
+Events are recorded as the dicts the trace file holds, keys in this order:
+kind (read | write | wait | eos), the stream clock after the event, word
+(read, write), g (write: source consumed at commit), wall_ms (wall_clock).
 """
 
 import json
@@ -38,25 +42,6 @@ class EngineConfig:
 
 
 @dataclass
-class Event:
-    kind: str            # read | write | wait | eos
-    clock: float         # stream clock after the event
-    word: str = None
-    g: float = None      # write only: source consumed at commit
-    wall_ms: float = None
-
-    def to_record(self) -> dict:
-        rec = {"kind": self.kind, "clock": self.clock}
-        if self.word is not None:
-            rec["word"] = self.word
-        if self.g is not None:
-            rec["g"] = self.g
-        if self.wall_ms is not None:
-            rec["wall_ms"] = self.wall_ms
-        return rec
-
-
-@dataclass
 class SessionTrace:
     source_words: list
     hypothesis_words: list
@@ -64,7 +49,7 @@ class SessionTrace:
     k: int
     mode: str             # text | speech
     source_total: float   # |x| in words, or audio ms
-    events: list = field(default_factory=list)
+    events: list = field(default_factory=list)  # event records, as in the file
     finished: bool = False
     error: str = None
     processing_ms: float = None
@@ -82,7 +67,7 @@ class SessionTrace:
             "source_total": self.source_total,
             "finished": self.finished,
             "error": self.error,
-            "events": [e.to_record() for e in self.events],
+            "events": self.events,
         }
         if self.processing_ms is not None:
             rec["processing_ms"] = self.processing_ms
@@ -90,33 +75,6 @@ class SessionTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_record(), ensure_ascii=False)
-
-
-def trace_from_record(rec: dict) -> SessionTrace:
-    delays = rec.get("delays_ms") if rec.get("mode") == "speech" else rec.get("delays_words")
-    events = [
-        Event(
-            kind=e["kind"],
-            clock=e["clock"],
-            word=e.get("word"),
-            g=e.get("g"),
-            wall_ms=e.get("wall_ms"),
-        )
-        for e in rec.get("events", [])
-    ]
-    return SessionTrace(
-        source_words=rec["source"],
-        hypothesis_words=rec["hypothesis"],
-        delays=delays if delays is not None else [],
-        k=rec["k"],
-        mode=rec.get("mode", "text"),
-        source_total=rec.get("source_total"),
-        events=events,
-        finished=rec.get("finished", False),
-        error=rec.get("error"),
-        processing_ms=rec.get("processing_ms"),
-        session_id=rec.get("id"),
-    )
 
 
 def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTrace:
@@ -138,6 +96,11 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
 
     def now_ms():
         return (time.monotonic() - started) * 1000.0 if started is not None else None
+
+    def record(event):
+        if started is not None:
+            event["wall_ms"] = now_ms()
+        events.append(event)
 
     stream = iter(source)
     total = source.total_clock
@@ -170,7 +133,7 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
         word, stamp = item
         revealed.append(word)
         clock = stamp
-        events.append(Event(kind="read", clock=clock, word=word, wall_ms=now_ms()))
+        record({"kind": "read", "clock": clock, "word": word})
         return True
 
     for _ in range(k):
@@ -187,11 +150,11 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
             raise SessionError(str(exc), partial_trace=make_trace(error=str(exc))) from exc
 
         if unit is Signal.EOS:
-            events.append(Event(kind="eos", clock=clock, wall_ms=now_ms()))
+            record({"kind": "eos", "clock": clock})
             return make_trace(finished=True)
 
         if unit is Signal.WAIT:
-            events.append(Event(kind="wait", clock=clock, wall_ms=now_ms()))
+            record({"kind": "wait", "clock": clock})
             if read_one():
                 continue
             # stream is dry: this wait revealed nothing
@@ -215,7 +178,7 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
         committed.append(word)
         g = clock if total is None else min(clock, total)
         delays.append(g)
-        events.append(Event(kind="write", clock=clock, word=word, g=g, wall_ms=now_ms()))
+        record({"kind": "write", "clock": clock, "word": word, "g": g})
         suppress_wait = False
         suppressed_run = 0
         read_one()

@@ -114,16 +114,20 @@ class WaitHistogram:
         return self.function_count / self.total if self.total else 0.0
 
 
-def wait_histogram(traces, function_words) -> WaitHistogram:
-    """Count the source word immediately preceding each wait event."""
+def wait_histogram(sessions, function_words) -> WaitHistogram:
+    """Count the source word immediately preceding each wait event.
+
+    sessions holds one list of trace event records per session.
+    """
     function_words = {w.lower() for w in function_words}
     hist = WaitHistogram()
-    for trace in traces:
+    for events in sessions:
         last_read = None
-        for event in trace.events:
-            if event.kind == "read":
-                last_read = event.word
-            elif event.kind == "wait" and last_read is not None:
+        for event in events:
+            kind = event["kind"]
+            if kind == "read":
+                last_read = event["word"]
+            elif kind == "wait" and last_read is not None:
                 hist.counts[last_read] = hist.counts.get(last_read, 0) + 1
                 if last_read.lower() in function_words:
                     hist.function_count += 1

@@ -48,6 +48,8 @@ class TimedTranscript:
     reference: str = ""
 
     def __post_init__(self):
+        if not (isinstance(self.total_ms, (int, float)) and self.total_ms >= 0):
+            raise ValueError(f"total_ms must be a non-negative number, got {self.total_ms!r}")
         self.words = [
             w if isinstance(w, TimedWord) else TimedWord(w["w"], w["end_ms"])
             for w in self.words

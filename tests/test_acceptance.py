@@ -58,7 +58,7 @@ def test_criterion_02_inference_golden_trace():
     trace.session_id = "0000"
     golden = (GOLDEN / "inference_trace.json").read_text(encoding="utf-8")
     assert trace.to_json() + "\n" == golden
-    waits = sum(1 for e in trace.events if e.kind == "wait")
+    waits = sum(1 for e in trace.events if e["kind"] == "wait")
     assert waits == 3
     assert len(trace.hypothesis_words) == 6
     assert trace.hypothesis_words[-1] == "utram."
@@ -88,9 +88,9 @@ def test_criterion_03_wait_k_gate_fuzz():
             trace = exc.partial_trace
         revealed = 0
         for event in trace.events:
-            if event.kind == "read":
+            if event["kind"] == "read":
                 revealed += 1
-            elif event.kind == "write":
+            elif event["kind"] == "write":
                 assert revealed >= k, f"write with revealed={revealed} < k={k}"
                 writes_checked += 1
         assert WAIT_TOKEN not in trace.hypothesis_words

@@ -5,7 +5,6 @@ from simtrans import _kernels
 from simtrans.aligner import (
     align_corpus,
     align_pair,
-    export_alignments,
     import_alignments,
     parse_pharaoh_line,
     train_table,
@@ -190,12 +189,9 @@ def test_import_line_count_mismatch(tmp_path):
         import_alignments(path, [(["a"], ["x"])])
 
 
-def test_export_round_trip(tmp_path):
-    from simtrans.aligner import AlignmentLinkSet
-
+def test_import_pharaoh_links(tmp_path):
     path = tmp_path / "aln.txt"
-    corpus = [(["a", "b"], ["x", "y"])]
-    sets = [AlignmentLinkSet(links={(1, 0), (0, 1)}, source_len=2, target_len=2)]
-    export_alignments(sets, path)
-    assert path.read_text() == "0-1 1-0\n"
-    assert import_alignments(path, corpus)[0].links == {(1, 0), (0, 1)}
+    path.write_text("0-1 1-0\n")
+    links = import_alignments(path, [(["a", "b"], ["x", "y"])])
+    assert links[0].links == {(1, 0), (0, 1)}
+    assert (links[0].source_len, links[0].target_len) == (2, 2)

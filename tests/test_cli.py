@@ -204,23 +204,35 @@ def test_evaluate_missing_reference(tmp_path, capsys):
     assert "0000" in capsys.readouterr().err
 
 
+def test_evaluate_blank_reference_names_the_line(tmp_path, capsys):
+    code, out_dir, _ = _simulate_dict(tmp_path, [{"source": "a b c", "target": "A B C"}], k="1")
+    refs = tmp_path / "refs.jsonl"
+    write_jsonl(refs, [{"source": "a b c", "target": "   "}])
+    capsys.readouterr()
+    assert main(["evaluate", "--traces", str(out_dir), "--references", str(refs)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {refs}: line 1: sentence is empty after trimming\n"
+
+
 def test_evaluate_matches_golden(tmp_path):
     # golden files written by the string-rescoring evaluate that preceded
     # per-sentence statistics; the fixture has an empty hypothesis (sentence
     # 2), a truncated session (5), a short hypothesis (7) and a repeated
-    # reference (0 and 6)
+    # reference (0 and 6); the histogram golden was written by the evaluate
+    # that rebuilt event objects from each trace record
     fixture = FIXTURES / "evaluate"
     out_dir = tmp_path / "traces"
     assert main(["simulate", "--input", str(fixture / "test.jsonl"), "--out-dir", str(out_dir),
                  "--backend", "dict", "--dict-file", str(fixture / "dict.json"),
                  "--k", "1,3"]) == EXIT_PARTIAL
     report, curve = tmp_path / "report.json", tmp_path / "curve.csv"
+    waits = tmp_path / "waits.json"
     assert main(["evaluate", "--traces", str(out_dir), "--references", str(fixture / "test.jsonl"),
                  "--report", str(report), "--curve", str(curve),
-                 "--histogram", str(tmp_path / "waits.json"),
+                 "--histogram", str(waits),
                  "--bootstrap", "20", "--seed", "3"]) == EXIT_OK
     assert report.read_bytes() == (GOLDEN / "evaluate_report.json").read_bytes()
     assert curve.read_bytes() == (GOLDEN / "evaluate_curve.csv").read_bytes()
+    assert waits.read_bytes() == (GOLDEN / "evaluate_waits.json").read_bytes()
 
 
 def run_cli(*argv):
@@ -238,6 +250,8 @@ def run_cli(*argv):
     ("retries", "-1", "simulate-http"),
     ("timeout-ms", "0", "simulate-http"),
     ("window-ms", "0", "simulate"),
+    ("workers", "0", "simulate"),
+    ("workers", "-3", "simulate"),
     ("bootstrap", "-1", "evaluate"),
     ("iterations", "0", "align"),
     ("samples-per-pair", "0", "build-dataset"),
@@ -262,8 +276,45 @@ def test_out_of_range_option_is_one_error_line(tmp_path, toy_corpus, flag, value
     assert err.startswith(f"error: --{flag}")
 
 
+@pytest.mark.parametrize("key, backend", [
+    ("target_language", ["--backend", "dict", "--dict-file", FIXTURES / "evaluate" / "dict.json"]),
+    ("endpoint", ["--backend", "http"]),
+    ("api_key_env", ["--backend", "http", "--endpoint", "http://127.0.0.1:1/v1"]),
+])
+def test_non_string_config_value_is_one_error_line(tmp_path, key, backend):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 5}))
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": "a b", "target": "x y"}])
+    code, err = run_cli("--config", config, "simulate", "--input", test_set,
+                        "--out-dir", tmp_path / "o", *backend)
+    assert code == EXIT_USAGE
+    assert err == f"error: --{key.replace('_', '-')}: invalid value 5\n"
+
+
+# case -> (fields written over a good text trace of "a b c", expected error)
+_CORRUPT_FIELDS = {
+    "events-not-records": ({"events": [1]}, "events must be a list of event records"),
+    "k-string": ({"k": "1"}, "k must be an integer"),
+    "k-list": ({"k": [1]}, "k must be an integer"),
+    "hypothesis-not-words": ({"hypothesis": [1, 2, 3]}, "hypothesis must be a list of words"),
+    "id-list": ({"id": [0]}, "id must be a string"),
+    "speech-processing-string": (
+        {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": "x"},
+        "processing_ms must be a number",
+    ),
+}
+
+
 def _corrupt_trace(path, case):
     rec = json.loads(path.read_text())
+    if case in _CORRUPT_FIELDS:
+        if case == "k-string":  # next to a trace with an int k
+            path.with_name("0000_k1_copy.json").write_text(path.read_text())
+        fields, expected = _CORRUPT_FIELDS[case]
+        rec.update(fields)
+        path.write_text(json.dumps(rec))
+        return expected
     if case == "truncated":
         path.write_text(path.read_text()[:40])
         return "invalid JSON"
@@ -279,7 +330,8 @@ def _corrupt_trace(path, case):
     return "exceeds the source length"
 
 
-@pytest.mark.parametrize("case", ["truncated", "no-source", "decreasing", "past-source"])
+@pytest.mark.parametrize("case", ["truncated", "no-source", "decreasing", "past-source",
+                                  *_CORRUPT_FIELDS])
 def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
     code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b c", "target": "A B C"}],
                                              k="1")
@@ -287,7 +339,8 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
     trace = out_dir / "0000_k1.json"
     expected = _corrupt_trace(trace, case)
     capsys.readouterr()
-    code = main(["evaluate", "--traces", str(out_dir), "--references", str(test_set)])
+    code = main(["evaluate", "--traces", str(out_dir), "--references", str(test_set),
+                 "--histogram", str(tmp_path / "waits.json")])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith(f"error: {trace}: ") and expected in err
@@ -296,6 +349,7 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
 
 _NOT_JSON = '{"truncated": '
 _WORD_AT_100MS = {"w": "a", "end_ms": 100.0}
+_BLANK_SOURCE = json.dumps({"source": "   ", "target": "x"})
 
 
 @pytest.mark.parametrize("reader, content", [
@@ -310,12 +364,17 @@ _WORD_AT_100MS = {"w": "a", "end_ms": 100.0}
     ("transcript", _NOT_JSON),
     ("transcript", json.dumps({"words": [{"w": "a"}], "total_ms": 100.0})),
     ("transcript", json.dumps({"words": [_WORD_AT_100MS, _WORD_AT_100MS], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [], "total_ms": "x"})),
+    ("transcript", json.dumps({"words": [], "total_ms": -5})),
     ("causal", _NOT_JSON),
     ("alignments", "0-x"),
+    ("simulate-input", _BLANK_SOURCE),
+    ("align-input", _BLANK_SOURCE),
 ], ids=["config-not-json", "config-list", "dict-not-json", "dict-list", "script-not-json",
         "script-not-lists", "recording-not-json", "recording-no-hash", "transcript-not-json",
-        "transcript-no-end", "transcript-not-increasing", "causal-not-json",
-        "alignments-bad-token"])
+        "transcript-no-end", "transcript-not-increasing", "transcript-total-string",
+        "transcript-total-negative", "causal-not-json", "alignments-bad-token",
+        "simulate-blank-source", "align-blank-source"])
 def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
                                                            reader, content):
     bad = tmp_path / "bad.json"
@@ -338,13 +397,16 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
         "causal": ["build-dataset", "--input", bad, "--output", tmp_path / "s.jsonl"],
         "alignments": ["align", "--input", test_set, "--output", tmp_path / "c.jsonl",
                        "--alignments", bad],
+        "simulate-input": ["simulate", "--input", bad, "--out-dir", tmp_path / "o",
+                           "--backend", "dict", "--dict-file", FIXTURES / "evaluate" / "dict.json"],
+        "align-input": ["align", "--input", bad, "--output", tmp_path / "c.jsonl"],
     }[reader]
     code, err = run_cli(*argv)
     assert code == EXIT_USAGE
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {bad}: ")
-    if reader in ("causal", "alignments"):
+    if reader in ("causal", "alignments", "simulate-input", "align-input"):
         assert err.startswith(f"error: {bad}: line 1: ")
 
 

@@ -73,3 +73,26 @@ def test_worker_pool_output_deterministic(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in out_dir.glob("*.json")})
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 12
+
+
+@pytest.mark.parametrize("mode", ["text", "speech"])
+def test_wall_clock_only_adds_stamps(tmp_path, speech_setup, mode):
+    transcripts_dir, refs_path, dict_file = speech_setup
+    source = ["--input", str(refs_path)] if mode == "text" else [
+        "--input", str(transcripts_dir), "--mode", "speech"]
+    runs = {}
+    for name, extra in (("plain", []), ("timed", ["--wall-clock"])):
+        out_dir = tmp_path / name
+        assert main(["simulate", *source, "--out-dir", str(out_dir), "--backend", "dict",
+                     "--dict-file", str(dict_file), "--k", "1,2", *extra]) == EXIT_OK
+        runs[name] = {p.name: p.read_text(encoding="utf-8") for p in out_dir.glob("*.json")}
+    assert len(runs["timed"]) == 6 and runs["timed"].keys() == runs["plain"].keys()
+    for name, text in runs["timed"].items():
+        rec = json.loads(text)
+        stamps = [event["wall_ms"] for event in rec["events"]]
+        assert all(list(event)[-1] == "wall_ms" for event in rec["events"])
+        assert stamps == sorted(stamps)
+        assert rec.pop("processing_ms") >= stamps[-1]
+        for event in rec["events"]:
+            del event["wall_ms"]
+        assert json.dumps(rec, ensure_ascii=False) + "\n" == runs["plain"][name]

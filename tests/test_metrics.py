@@ -146,7 +146,7 @@ def test_wait_histogram_counts():
     trace = run_session(["the", "cat", "of", "mine"], ScriptedBackend(script), k=1)
     # wait 1 follows the read of "the"; the write of "x" reads "of", so
     # wait 2 follows "of"
-    hist = wait_histogram([trace], ["the", "of"])
+    hist = wait_histogram([trace.events], ["the", "of"])
     assert hist.counts == {"the": 1, "of": 1}
     assert hist.function_count == 2 and hist.content_count == 0
     assert hist.function_share == pytest.approx(1.0)
@@ -154,7 +154,7 @@ def test_wait_histogram_counts():
 
 def test_wait_histogram_empty():
     trace = run_session(["a"], ScriptedBackend(["x", Signal.EOS]), k=1)
-    hist = wait_histogram([trace], ["a"])
+    hist = wait_histogram([trace.events], ["a"])
     assert hist.counts == {} and hist.total == 0
 
 
@@ -171,15 +171,15 @@ def test_wait_histogram_fuzz_recount(rng):
         units.append(Signal.EOS)
         traces.append(run_session(source, ScriptedBackend(units), k=1))
     function_words = {"w0", "w1"}
-    hist = wait_histogram(traces, function_words)
+    hist = wait_histogram([t.events for t in traces], function_words)
     expected_fn = 0
     expected_total = 0
     for trace in traces:
         last = None
         for e in trace.events:
-            if e.kind == "read":
-                last = e.word
-            elif e.kind == "wait" and last is not None:
+            if e["kind"] == "read":
+                last = e["word"]
+            elif e["kind"] == "wait" and last is not None:
                 expected_total += 1
                 expected_fn += int(last in function_words)
     assert hist.total == expected_total
