@@ -1,9 +1,11 @@
 """Translator backends: word-unit producers driven by the session prompt.
 
 A backend maps a prompt to exactly one unit per call: a word, a wait signal
-or end-of-sentence. The prompt is a prompt.Prompt: remote, recording and
-replay backends send or hash its text, and the dictionary backend reads the
-source and target words it carries. The engine passes allow_wait=False when
+or end-of-sentence. The engine passes a prompt.StepPrompt; a prompt.Prompt
+or any other object with source and target word sequences and str() text
+serves the same way. Remote, recording and replay backends send or hash
+str(prompt), the only place the text is rendered; the dictionary and
+scripted backends never render it. The engine passes allow_wait=False when
 waits are being suppressed after source exhaustion; honoring it is
 best-effort for remote backends and exact for the rule-based mocks.
 """
@@ -26,7 +28,6 @@ from .errors import (
     ReplayMiss,
     ScriptUnderrun,
 )
-from .prompt import Prompt
 from .units import Signal, Unit, WAIT_TOKEN, unit_from_str, unit_to_str
 
 
@@ -37,7 +38,7 @@ class ScriptedBackend:
         self.units = [unit_from_str(u) if isinstance(u, str) else u for u in units]
         self.pos = 0
 
-    def next_unit(self, prompt: str, allow_wait: bool = True) -> Unit:
+    def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
         if self.pos >= len(self.units):
             raise ScriptUnderrun(f"script exhausted after {self.pos} units")
         unit = self.units[self.pos]
@@ -57,7 +58,7 @@ class DictionaryBackend:
         self.mapping = dict(mapping)
         self.lookahead = lookahead
 
-    def next_unit(self, prompt: Prompt, allow_wait: bool = True) -> Unit:
+    def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
         source_words, target_words = prompt.source, prompt.target
         idx = len(target_words)
         if idx >= len(source_words):
@@ -211,8 +212,8 @@ class HttpBackend:
             f"{self.cfg.retries + 1} attempts: {last_error}"
         )
 
-    def next_unit(self, prompt: str, allow_wait: bool = True) -> Unit:
-        data = self._request(prompt, allow_wait)
+    def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
+        data = self._request(str(prompt), allow_wait)
         try:
             choice = data["choices"][0]
             text = choice.get("text", "")
@@ -244,7 +245,7 @@ class RecordingBackend:
         self.inner = inner
         self._fh = open(path, "a", encoding="utf-8")
 
-    def next_unit(self, prompt: str, allow_wait: bool = True) -> Unit:
+    def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
         unit = self.inner.next_unit(prompt, allow_wait=allow_wait)
         record = {"prompt_sha256": prompt_hash(prompt), "unit": unit_to_str(unit)}
         self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -268,7 +269,7 @@ class ReplayBackend:
         self.recording = recording
         self._cursor = {}
 
-    def next_unit(self, prompt: str, allow_wait: bool = True) -> Unit:
+    def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
         h = prompt_hash(prompt)
         units = self.recording.get(h)
         if not units:
@@ -280,8 +281,9 @@ class ReplayBackend:
         return unit_from_str(units[idx])
 
 
-def prompt_hash(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+def prompt_hash(prompt) -> str:
+    """SHA-256 of str(prompt), the key of recording and replay."""
+    return hashlib.sha256(str(prompt).encode("utf-8")).hexdigest()
 
 
 def load_recording(path) -> dict:

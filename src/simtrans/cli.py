@@ -66,6 +66,20 @@ def _string(value):
     return value
 
 
+def _number(value):
+    """float(value) for a number or its text; a JSON true or false is not one."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
+def _integer(value):
+    """int(value) for a whole number or its text, never truncating 5.7 to 5."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(value)
+    return int(value)
+
+
 def resolve_option(args, config, name, default, cast=_string):
     """flags > config file > SIMTRANS_<NAME> env var > default."""
     value = getattr(args, name, None)
@@ -143,7 +157,7 @@ def _parse_k_list(value):
         v for v in str(value).split(",") if v.strip()
     ]
     try:
-        k_list = [int(v) for v in items]
+        k_list = [_integer(v) for v in items]
     except (TypeError, ValueError) as exc:
         raise SimtransError(f"--k: invalid value {value!r}") from exc
     for k in k_list:
@@ -156,7 +170,7 @@ def _parse_k_list(value):
 def cmd_align(args, config) -> int:
     iterations = _at_least(
         "iterations",
-        resolve_option(args, config, "iterations", aligner.DEFAULT_ITERATIONS, int),
+        resolve_option(args, config, "iterations", aligner.DEFAULT_ITERATIONS, _integer),
         1,
     )
     tokenized = [
@@ -185,9 +199,9 @@ def cmd_align(args, config) -> int:
 # ---------------------------------------------------------- build-dataset
 
 def cmd_build_dataset(args, config) -> int:
-    seed = resolve_option(args, config, "seed", 0, int)
+    seed = resolve_option(args, config, "seed", 0, _integer)
     samples_per_pair = _at_least(
-        "samples_per_pair", resolve_option(args, config, "samples_per_pair", 1, int), 1
+        "samples_per_pair", resolve_option(args, config, "samples_per_pair", 1, _integer), 1
     )
     language = resolve_option(args, config, "target_language", DEFAULT_TARGET_LANGUAGE)
     corpus = causal.read_corpus(args.input)
@@ -211,7 +225,7 @@ def _build_shared_backend(args, config):
         mapping = _read_json(args.dict_file)
         if not (isinstance(mapping, dict) and all(isinstance(v, str) for v in mapping.values())):
             raise SimtransError(f"{args.dict_file}: a dictionary maps words to words")
-        lookahead = resolve_option(args, config, "lookahead", 0, int)
+        lookahead = resolve_option(args, config, "lookahead", 0, _integer)
         return backend_kind, DictionaryBackend(mapping, lookahead=lookahead)
     if backend_kind == "replay":
         if not args.recording:
@@ -236,12 +250,12 @@ def _build_shared_backend(args, config):
             endpoint_url=endpoint,
             model_name=resolve_option(args, config, "model", ""),
             api_key_env=resolve_option(args, config, "api_key_env", None),
-            top_p=resolve_option(args, config, "top_p", 0.7, float),
-            max_unit_tokens=resolve_option(args, config, "max_unit_tokens", 12, int),
+            top_p=resolve_option(args, config, "top_p", 0.7, _number),
+            max_unit_tokens=resolve_option(args, config, "max_unit_tokens", 12, _integer),
             timeout_ms=_positive(
-                "timeout_ms", resolve_option(args, config, "timeout_ms", 30000.0, float)
+                "timeout_ms", resolve_option(args, config, "timeout_ms", 30000.0, _number)
             ),
-            retries=_at_least("retries", resolve_option(args, config, "retries", 2, int), 0),
+            retries=_at_least("retries", resolve_option(args, config, "retries", 2, _integer), 0),
         )
         return backend_kind, HttpBackend(http_cfg)
     raise SimtransError(f"unknown backend {backend_kind!r}")
@@ -250,8 +264,8 @@ def _build_shared_backend(args, config):
 def cmd_simulate(args, config) -> int:
     mode = resolve_option(args, config, "mode", "text")
     k_list = resolve_option(args, config, "k", [1], _parse_k_list)
-    workers = _at_least("workers", resolve_option(args, config, "workers", 1, int), 1)
-    window_ms = _positive("window_ms", resolve_option(args, config, "window_ms", 200.0, float))
+    workers = _at_least("workers", resolve_option(args, config, "workers", 1, _integer), 1)
+    window_ms = _positive("window_ms", resolve_option(args, config, "window_ms", 200.0, _number))
     language = resolve_option(args, config, "target_language", DEFAULT_TARGET_LANGUAGE)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -374,14 +388,21 @@ def _trace_events(path, rec):
 
 
 def cmd_evaluate(args, config) -> int:
-    seed = resolve_option(args, config, "seed", 0, int)
-    bootstrap_n = _at_least("bootstrap", resolve_option(args, config, "bootstrap", 0, int), 0)
+    seed = resolve_option(args, config, "seed", 0, _integer)
+    bootstrap_n = _at_least("bootstrap", resolve_option(args, config, "bootstrap", 0, _integer), 0)
 
     trace_paths = sorted(glob.glob(os.path.join(args.traces, "*.json")))
     if not trace_paths:
         raise SimtransError(f"no trace files in {args.traces}")
     traces = [(path, _read_trace(path)) for path in trace_paths]
-    event_lists = [_trace_events(path, rec) for path, rec in traces] if args.histogram else None
+    if args.histogram:
+        # every input is read before the first output is written
+        event_lists = [_trace_events(path, rec) for path, rec in traces]
+        if args.function_words:
+            with open(args.function_words, encoding="utf-8") as fh:
+                function_words = [w.strip() for w in fh if w.strip()]
+        else:
+            function_words = _default_function_words()
 
     pairs = _read_pair_file(args.references)
     references = {f"{idx:04d}": (n, tgt) for idx, (n, _, tgt) in enumerate(pairs)}
@@ -451,12 +472,7 @@ def cmd_evaluate(args, config) -> int:
         _atomic_write(args.curve, metrics.tradeoff_curve(runs))
 
     if args.histogram:
-        words = (
-            [w.strip() for w in open(args.function_words, encoding="utf-8") if w.strip()]
-            if args.function_words
-            else _default_function_words()
-        )
-        hist = metrics.wait_histogram(event_lists, words)
+        hist = metrics.wait_histogram(event_lists, function_words)
         _atomic_write(args.histogram, json.dumps({
             "counts": hist.counts,
             "function_count": hist.function_count,

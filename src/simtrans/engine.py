@@ -17,6 +17,10 @@ no-ops and generation keeps going until end-of-sentence; a wait arriving then
 is discarded, the backend is re-asked with waits suppressed, and three
 consecutive suppressed waits abort the session as a livelock.
 
+The prompt is a prompt.StepPrompt: word views of the revealed and committed
+lists, which only grow, and text rendered only for a backend that asks for
+it, so a step costs the same however long the sentence is.
+
 Events are recorded as the dicts the trace file holds, keys in this order:
 kind (read | write | wait | eos), the stream clock after the event, word
 (read, write), g (write: source consumed at commit), wall_ms (wall_clock).
@@ -27,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import SessionError, SimtransError, WaitOverflow
-from .prompt import DEFAULT_TARGET_LANGUAGE, build_prompt, interpreter_system_message
+from .prompt import DEFAULT_TARGET_LANGUAGE, StepPrompt, interpreter_system_message
 from .streams import SourceStream, TextStream
 from .units import Signal, WAIT_TOKEN
 
@@ -143,7 +147,7 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
     suppress_wait = False
     suppressed_run = 0
     while True:
-        prompt = build_prompt(revealed, committed, system_message)
+        prompt = StepPrompt(revealed, committed, system_message)
         try:
             unit = backend.next_unit(prompt, allow_wait=not suppress_wait)
         except SimtransError as exc:
@@ -169,7 +173,8 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
             continue
 
         word = unit
-        if not isinstance(word, str) or not word or any(c.isspace() for c in word):
+        # a word is non-empty and holds no whitespace: it splits to itself
+        if not isinstance(word, str) or word.split() != [word]:
             err = f"backend returned invalid word unit {word!r}"
             raise SessionError(err, partial_trace=make_trace(error=err))
         if word == WAIT_TOKEN:

@@ -23,6 +23,9 @@ from .bleu import STATS_WIDTH, bleu_from_stats, reference_stats, sentence_stats
 from .bleu import corpus_bleu  # noqa: F401  (stays importable from this module)
 from .errors import DegenerateInput, InputMismatch
 
+_PLAIN_REALS = frozenset((int, float))
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
 
 @dataclass
 class DelaySequence:
@@ -32,6 +35,11 @@ class DelaySequence:
     ref_len: int = None
 
     def __post_init__(self):
+        # float() would take "1" and True; the set test passes plain lists fast
+        if not _PLAIN_REALS.issuperset(map(type, self.g)):
+            for v in self.g:
+                if isinstance(v, bool) or not isinstance(v, _REAL_TYPES):
+                    raise TypeError(f"delays must be numbers, got {v!r}")
         self.g = [float(v) for v in self.g]
         if self.hyp_len is None:
             self.hyp_len = len(self.g)

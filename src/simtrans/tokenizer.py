@@ -85,6 +85,9 @@ def _peel_contractions(word: str) -> list[str]:
 
 
 def _split_chunk(chunk: str) -> list[str]:
+    # every contraction suffix holds an apostrophe, which is a split char
+    if _SPLIT_CHARS.isdisjoint(chunk):
+        return [chunk]
     if _normalize_suffix(chunk) in _CONTRACTION_SUFFIXES:
         return [chunk]
     parts = []

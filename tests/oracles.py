@@ -5,12 +5,13 @@ package code: dictionary-based EM, per-cell argmax linking through table
 lookups, exhaustive search over wait placements, a from-scratch causality
 scan over raw corpus records, ASR windowing that rescans every word on
 every tick, evaluation that re-tokenizes and re-counts every sentence of
-every resample from its strings, and prompt words parsed back from the
-prompt text.
+every resample from its strings, prompt words parsed back from the
+prompt text, and tokenization that scans every character of every chunk.
 """
 
 import math
 import re
+import unicodedata
 from collections import Counter, defaultdict
 from itertools import combinations_with_replacement
 
@@ -22,6 +23,14 @@ from simtrans.metrics import (
     differentiable_al,
     is_truncated,
     length_adaptive_al,
+)
+from simtrans.tokenizer import (
+    _APOSTROPHES,
+    _CONTRACTION_SUFFIXES,
+    _SPLIT_CHARS,
+    _keep_inline,
+    _normalize_suffix,
+    _peel_contractions,
 )
 
 WAIT = "<WAIT>"
@@ -158,6 +167,39 @@ def prompt_words(text):
     pos = head.rfind(lead)
     source_text = head[pos + len(lead):] if pos >= 0 else ""
     return tuple(source_text.split()), tuple(target_text.split())
+
+
+def _scan_split_chunk(chunk):
+    """One whitespace-free chunk split by a scan of every character."""
+    if _normalize_suffix(chunk) in _CONTRACTION_SUFFIXES:
+        return [chunk]
+    parts = []
+    buf = []
+    for i, ch in enumerate(chunk):
+        if ch in _SPLIT_CHARS and not _keep_inline(chunk, i):
+            if buf:
+                parts.append("".join(buf))
+                buf = []
+            parts.append(ch)
+        else:
+            buf.append(ch)
+    if buf:
+        parts.append("".join(buf))
+    out = []
+    for part in parts:
+        if len(part) > 1 and any(a in part for a in _APOSTROPHES):
+            out.extend(_peel_contractions(part))
+        else:
+            out.append(part)
+    return out
+
+
+def scan_tokenize(sentence):
+    """tokenize(sentence).words with no shortcut for chunks lacking marks."""
+    words = []
+    for chunk in unicodedata.normalize("NFC", sentence).split():
+        words.extend(w for w in _scan_split_chunk(chunk) if w)
+    return words
 
 
 def regex_tokenize_13a(line):

@@ -292,6 +292,44 @@ def test_non_string_config_value_is_one_error_line(tmp_path, key, backend):
     assert err == f"error: --{key.replace('_', '-')}: invalid value 5\n"
 
 
+@pytest.mark.parametrize("config, flag, command", [
+    pytest.param({"workers": True}, "workers", "simulate", id="workers-true"),
+    pytest.param({"workers": 2.5}, "workers", "simulate", id="workers-2.5"),
+    pytest.param({"k": [True]}, "k", "simulate", id="k-true"),
+    pytest.param({"window_ms": False}, "window-ms", "simulate", id="window-ms-false"),
+    pytest.param({"seed": 5.7}, "seed", "evaluate", id="seed-5.7"),
+    pytest.param({"bootstrap": True}, "bootstrap", "evaluate", id="bootstrap-true"),
+])
+def test_mistyped_number_in_config_is_one_error_line(tmp_path, config, flag, command):
+    code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
+    assert code == EXIT_OK
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    argv = {
+        "simulate": ["simulate", "--input", test_set, "--out-dir", tmp_path / "o",
+                     "--backend", "dict", "--dict-file", tmp_path / "dict.json"],
+        "evaluate": ["evaluate", "--traces", out_dir, "--references", test_set],
+    }[command]
+    code, err = run_cli("--config", config_file, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: --{flag}: invalid value ")
+    assert len(err.splitlines()) == 1
+
+
+def test_evaluate_missing_function_words_writes_nothing(tmp_path, capsys):
+    code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
+    assert code == EXIT_OK
+    outputs = [tmp_path / "report.json", tmp_path / "curve.csv", tmp_path / "waits.json"]
+    capsys.readouterr()
+    code = main(["evaluate", "--traces", str(out_dir), "--references", str(test_set),
+                 "--report", str(outputs[0]), "--curve", str(outputs[1]),
+                 "--histogram", str(outputs[2]),
+                 "--function-words", str(tmp_path / "missing.txt")])
+    assert code == EXIT_USAGE
+    assert "missing.txt" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
 # case -> (fields written over a good text trace of "a b c", expected error)
 _CORRUPT_FIELDS = {
     "events-not-records": ({"events": [1]}, "events must be a list of event records"),
@@ -299,6 +337,8 @@ _CORRUPT_FIELDS = {
     "k-list": ({"k": [1]}, "k must be an integer"),
     "hypothesis-not-words": ({"hypothesis": [1, 2, 3]}, "hypothesis must be a list of words"),
     "id-list": ({"id": [0]}, "id must be a string"),
+    "delays-strings": ({"delays_words": ["1", "2", "3"]}, "delays must be numbers"),
+    "delays-bool": ({"delays_words": [True, 2, 3]}, "delays must be numbers"),
     "speech-processing-string": (
         {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": "x"},
         "processing_ms must be a number",

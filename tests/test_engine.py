@@ -1,9 +1,10 @@
 import pytest
 
+from simtrans import prompt as prompt_module
 from simtrans.backends import DictionaryBackend, ScriptedBackend
 from simtrans.engine import EngineConfig, run_session
 from simtrans.errors import ScriptUnderrun, SessionError, WaitOverflow
-from simtrans.prompt import build_prompt
+from simtrans.prompt import build_prompt, interpreter_system_message
 from simtrans.streams import AsrSimConfig, AsrSimStream, TimedTranscript
 from simtrans.units import Signal, WAIT_TOKEN
 
@@ -89,8 +90,8 @@ def test_prompt_progression():
             return self.inner.next_unit(prompt, allow_wait=allow_wait)
 
     run_session(FIG_SOURCE, Spy(), k=1)
-    assert prompts[0].endswith("Translate this text: I [/INST] ")
-    assert prompts[2].endswith("Translate this text: I like to [/INST] Ya")
+    assert str(prompts[0]).endswith("Translate this text: I [/INST] ")
+    assert str(prompts[2]).endswith("Translate this text: I like to [/INST] Ya")
     assert len(prompts) == len(FIG_SCRIPT)
 
 
@@ -104,8 +105,8 @@ def test_no_system_message_variant():
             return Signal.EOS
 
     run_session(["a"], Spy(), k=1, cfg=cfg)
-    assert "<<SYS>>" not in prompts[0]
-    assert prompts[0] == build_prompt(["a"], [], None)
+    assert "<<SYS>>" not in str(prompts[0])
+    assert str(prompts[0]) == build_prompt(["a"], [], None)
 
 
 def test_wait_overflow_after_exhaustion():
@@ -207,3 +208,89 @@ def test_speech_mode_delays_clamped():
 def test_k_validation():
     with pytest.raises(ValueError):
         run_session(["a"], NeverWaits(1), k=0)
+
+
+def _refuse_to_render(*args):
+    raise AssertionError("prompt text was rendered")
+
+
+def test_word_backends_never_render_prompt_text(monkeypatch):
+    # build_prompt, under whatever name a module imports it, ends in Prompt()
+    monkeypatch.setattr(prompt_module, "Prompt", _refuse_to_render)
+    source = [f"s{i}" for i in range(3200)]
+    trace = run_session(source, DictionaryBackend({"s0": "t0"}), k=3)
+    assert trace.finished and len(trace.hypothesis_words) == 3200
+    words = [{"w": f"s{i}", "end_ms": 90.0 * (i + 1)} for i in range(300)]
+    stream = AsrSimStream(TimedTranscript(words=words, total_ms=27000.0),
+                          AsrSimConfig(window_ms=200))
+    trace = run_session(stream, DictionaryBackend({}, lookahead=1), k=2)
+    assert trace.finished and len(trace.hypothesis_words) == 300
+    trace = run_session(FIG_SOURCE, ScriptedBackend(FIG_SCRIPT), k=1)
+    assert trace.finished
+
+
+@pytest.mark.parametrize("include_system", [True, False])
+def test_kept_step_prompts_still_read_their_own_step(monkeypatch, include_system):
+    renders = []
+
+    def counting_render(*args):
+        renders.append(args)
+        return build_prompt(*args)
+
+    monkeypatch.setattr(prompt_module, "build_prompt", counting_render)
+    kept = []
+
+    class Keeper:
+        def __init__(self):
+            self.inner = DictionaryBackend({f"s{i}": f"t{i}" for i in range(30)}, lookahead=1)
+
+        def next_unit(self, prompt, allow_wait=True):
+            kept.append(prompt)
+            return self.inner.next_unit(prompt, allow_wait=allow_wait)
+
+    source = [f"s{i}" for i in range(30)]
+    trace = run_session(source, Keeper(), k=2, cfg=EngineConfig(include_system=include_system))
+    system = interpreter_system_message() if include_system else None
+    # the words each call saw, replayed from the trace: one call per event
+    # other than a read
+    expected, revealed, committed = [], [], []
+    for event in trace.events:
+        if event["kind"] == "read":
+            revealed.append(event["word"])
+            continue
+        expected.append(build_prompt(list(revealed), list(committed), system))
+        if event["kind"] == "write":
+            committed.append(event["word"])
+    assert len(kept) == len(expected) > len(source)
+    for view, snapshot in zip(kept, expected):
+        assert tuple(view.source) == snapshot.source
+        assert tuple(view.target) == snapshot.target
+        assert (len(view.source), len(view.target)) == (len(snapshot.source), len(snapshot.target))
+        assert [view.source[i] for i in range(-len(view.source), len(view.source))] == \
+            list(snapshot.source) * 2
+        assert view.target[:] == snapshot.target
+        with pytest.raises(IndexError):
+            view.source[len(snapshot.source)]
+        assert str(view) == snapshot
+        assert str(view) is str(view)
+    assert len(renders) == len(kept)
+
+
+def test_word_check_matches_isspace_for_every_code_point():
+    # the engine accepts a word unit when word.split() == [word]
+    assert "".split() != [""]
+    for cp in range(0x110000):
+        c = chr(cp)
+        embedded = f"a{c}b"
+        assert (c.split() != [c]) == c.isspace() == (embedded.split() != [embedded]), hex(cp)
+
+
+def test_every_whitespace_code_point_is_rejected_inside_a_word():
+    spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+    assert len(spaces) > 20
+    for c in spaces:
+        with pytest.raises(SessionError):
+            run_session(["a"], ScriptedBackend([f"x{c}y", Signal.EOS]), k=1)
+    for word in ["x\u200by", "x\u00ady", "x\ufeffy"]:  # not whitespace
+        trace = run_session(["a"], ScriptedBackend([word, Signal.EOS]), k=1)
+        assert trace.hypothesis_words == [word]

@@ -6,6 +6,7 @@ from simtrans.errors import EmptySentence
 from simtrans.tokenizer import detokenize, tokenize
 
 from conftest import FIXTURES
+from oracles import scan_tokenize
 
 
 def test_simple_sentence():
@@ -69,6 +70,18 @@ def test_no_empty_words(rng):
         except EmptySentence:
             continue
         assert all(w and not any(c.isspace() for c in w) for w in words)
+
+
+def test_tokenize_matches_a_full_scan(rng):
+    # chunks with and without split marks, contraction suffixes, curly
+    # apostrophes, digits, marks kept inside words and a decomposed umlaut
+    alphabet = list("abNT3 .,:'’-\"(%/") + ["n't", "'S", "’ll", "u\u0308", "\u00a0", "well-"]
+    for _ in range(2000):
+        n = int(rng.integers(1, 16))
+        text = "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
+        if not text.strip():
+            continue
+        assert tokenize(text).words == scan_tokenize(text), text
 
 
 def _natural_sentence(rng):
