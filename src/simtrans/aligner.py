@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, inputs
 from .errors import BoundsError, EmptyCorpus, InputMismatch, ParseError
 
 DEFAULT_ITERATIONS = 15
@@ -277,8 +277,7 @@ def import_alignments(path, corpus) -> list:
     """Read Pharaoh "i-j" lines, validating bounds against a companion corpus."""
     sizes = [(len(_word_list(s)), len(_word_list(t))) for s, t in corpus]
     out = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = list(inputs.lines(inputs.read_text(path)))  # a blank line is a pair with no links
     if len(lines) != len(sizes):
         raise InputMismatch(
             f"{path}: {len(lines)} alignment lines for {len(sizes)} corpus pairs"

@@ -28,6 +28,7 @@ from .errors import (
     ReplayMiss,
     ScriptUnderrun,
 )
+from .inputs import read_jsonl
 from .units import Signal, Unit, WAIT_TOKEN, unit_from_str, unit_to_str
 
 
@@ -288,19 +289,11 @@ def prompt_hash(prompt) -> str:
 
 def load_recording(path) -> dict:
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", n, path) from exc
-            if not (isinstance(rec, dict) and isinstance(rec.get("prompt_sha256"), str)
-                    and isinstance(rec.get("unit"), str)):
-                raise ParseError("a record needs prompt_sha256 and unit strings", n, path)
-            table.setdefault(rec["prompt_sha256"], []).append(rec["unit"])
+    for n, rec in read_jsonl(path):
+        if not (isinstance(rec, dict) and isinstance(rec.get("prompt_sha256"), str)
+                and isinstance(rec.get("unit"), str)):
+            raise ParseError("a record needs prompt_sha256 and unit strings", n, path)
+        table.setdefault(rec["prompt_sha256"], []).append(rec["unit"])
     return table
 
 

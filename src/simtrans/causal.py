@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .aligner import AlignmentLinkSet, align_corpus
 from .errors import ParseError, SimtransError
+from .inputs import json_lines, read_jsonl
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
 
@@ -147,18 +148,7 @@ def write_corpus(pairs, path) -> None:
 
 
 def read_corpus(path) -> list:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", n, path) from exc
-            out.append(pair_from_record(record, n, path))
-    return out
+    return [pair_from_record(record, n, path) for n, record in read_jsonl(path)]
 
 
 def verify_pair(record: dict) -> list:
@@ -211,16 +201,10 @@ def verify_corpus_file(path):
     Yields (1-based record index, 1-based line number, [violations]) for
     each record; blank lines are skipped and hold no record.
     """
-    record_no = 0
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record_no += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield record_no, n, [f"invalid JSON: {exc}"]
-                continue
-            yield record_no, n, verify_pair(record)
+    for record_no, (n, line) in enumerate(json_lines(path), start=1):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield record_no, n, [f"invalid JSON: {exc}"]
+            continue
+        yield record_no, n, verify_pair(record)

@@ -12,9 +12,9 @@ import glob
 import json
 import os
 import sys
-from importlib import resources
 
 from . import aligner, bleu, causal, engine, metrics, sft, streams
+from .inputs import lines, read_json, read_jsonl, read_text
 from .backends import (
     DictionaryBackend,
     HttpBackend,
@@ -34,30 +34,15 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_VERIFY = 3
 
+# the English list --histogram counts waits against unless --function-words names another
+_FUNCTION_WORDS = os.path.join(os.path.dirname(__file__), "data", "function_words_en.txt")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _read_json(path):
-    """One whole-file JSON document, or an error naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SimtransError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _load_config(path):
-    if not path:
-        return {}
-    cfg = _read_json(path)
-    if not isinstance(cfg, dict):
-        raise SimtransError(f"{path}: a config file must hold a JSON object")
-    return cfg
 
 
 def _string(value):
@@ -80,56 +65,74 @@ def _integer(value):
     return int(value)
 
 
-def resolve_option(args, config, name, default, cast=_string):
-    """flags > config file > SIMTRANS_<NAME> env var > default."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name)
-    if value is None:
-        value = os.environ.get(f"SIMTRANS_{name.upper()}")
-    if value is None:
-        return default
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise SimtransError(f"--{_flag(name)}: invalid value {value!r}") from exc
+def _integers(value):
+    """A list of whole numbers from a JSON list or comma-separated text."""
+    items = value if isinstance(value, list) else [v for v in str(value).split(",") if v.strip()]
+    return [_integer(v) for v in items]
 
 
-def _flag(name):
-    return name.replace("_", "-")
+# Each valued option, once: name -> (cast, default, lowest value, subcommands).
+# A tuple cast lists the option's choices; a list value is bounded item by
+# item. main resolves the chosen subcommand's options as flag > --config >
+# SIMTRANS_<NAME> > default, casting and bounding a value from every source
+# alike, and sets each on args. Paths and on/off switches are plain flags.
+OPTIONS = {
+    "iterations": (_integer, aligner.DEFAULT_ITERATIONS, ">= 1", ("align",)),
+    "seed": (_integer, 0, None, ("build-dataset", "evaluate")),
+    "samples_per_pair": (_integer, 1, ">= 1", ("build-dataset",)),
+    "target_language": (_string, DEFAULT_TARGET_LANGUAGE, None, ("build-dataset", "simulate")),
+    "k": (_integers, [1], ">= 1", ("simulate",)),
+    "mode": (("text", "speech"), "text", None, ("simulate",)),
+    "backend": (("scripted", "dict", "replay", "http"), "dict", None, ("simulate",)),
+    "lookahead": (_integer, 0, ">= 0", ("simulate",)),
+    "endpoint": (_string, None, None, ("simulate",)),
+    "model": (_string, "", None, ("simulate",)),
+    "api_key_env": (_string, None, None, ("simulate",)),
+    "top_p": (_number, 0.7, None, ("simulate",)),
+    "max_unit_tokens": (_integer, 12, ">= 1", ("simulate",)),
+    "timeout_ms": (_number, 30000.0, "> 0", ("simulate",)),
+    "retries": (_integer, 2, ">= 0", ("simulate",)),
+    "workers": (_integer, 1, ">= 1", ("simulate",)),
+    "window_ms": (_number, 200.0, "> 0", ("simulate",)),
+    "bootstrap": (_integer, 0, ">= 0", ("evaluate",)),
+}
 
 
-def _at_least(name, value, low):
-    """Return value, or reject it with an error naming its flag."""
-    if not value >= low:
-        raise SimtransError(f"--{_flag(name)} must be >= {low}, got {value}")
-    return value
-
-
-def _positive(name, value):
-    if not value > 0:
-        raise SimtransError(f"--{_flag(name)} must be > 0, got {value}")
-    return value
-
-
-def _read_jsonl(path):
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def _resolve_options(args):
+    config = read_json(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise SimtransError(f"{args.config}: a config file must hold a JSON object")
+    for name, (cast, default, low, commands) in OPTIONS.items():
+        if args.command not in commands:
+            continue
+        flag = "--" + name.replace("_", "-")
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name)
+        if value is None:
+            value = os.environ.get(f"SIMTRANS_{name.upper()}")
+        if value is None:
+            value = default
+        elif isinstance(cast, tuple):
+            if value not in cast:
+                raise SimtransError(f"{flag}: invalid value {value!r}")
+        else:
             try:
-                records.append((n, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise SimtransError(f"{path}: line {n}: invalid JSON: {exc}") from exc
-    return records
+                value = cast(value)
+            except (TypeError, ValueError) as exc:
+                raise SimtransError(f"{flag}: invalid value {value!r}") from exc
+            if low:
+                op, limit = low.split()
+                for v in value if isinstance(value, list) else [value]:
+                    if not (v > float(limit) if op == ">" else v >= float(limit)):
+                        raise SimtransError(f"{flag} must be {low}, got {v}")
+        setattr(args, name, value)
 
 
 def _read_pair_file(path):
     """(line number, source, target) per record."""
     pairs = []
-    for n, rec in _read_jsonl(path):
+    for n, rec in read_jsonl(path):
         if not (isinstance(rec, dict) and isinstance(rec.get("source"), str)
                 and isinstance(rec.get("target"), str)):
             raise SimtransError(f"{path}: line {n}: record needs source and target strings")
@@ -152,27 +155,9 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def _parse_k_list(value):
-    items = value if isinstance(value, (list, tuple)) else [
-        v for v in str(value).split(",") if v.strip()
-    ]
-    try:
-        k_list = [_integer(v) for v in items]
-    except (TypeError, ValueError) as exc:
-        raise SimtransError(f"--k: invalid value {value!r}") from exc
-    for k in k_list:
-        _at_least("k", k, 1)
-    return k_list
-
-
 # ---------------------------------------------------------------- align
 
-def cmd_align(args, config) -> int:
-    iterations = _at_least(
-        "iterations",
-        resolve_option(args, config, "iterations", aligner.DEFAULT_ITERATIONS, _integer),
-        1,
-    )
+def cmd_align(args) -> int:
     tokenized = [
         (_tokenize_line(args.input, n, src), _tokenize_line(args.input, n, tgt))
         for n, src, tgt in _read_pair_file(args.input)
@@ -183,8 +168,8 @@ def cmd_align(args, config) -> int:
         align_fn = lambda idx, s, t: imported[idx]
         pairs, stats = causal.build_corpus(tokenized, None, None, align_fn=align_fn)
     else:
-        forward = aligner.train_table(tokenized, iterations=iterations)
-        reverse = aligner.train_table(tokenized, iterations=iterations, direction="reverse")
+        forward = aligner.train_table(tokenized, iterations=args.iterations)
+        reverse = aligner.train_table(tokenized, iterations=args.iterations, direction="reverse")
         pairs, stats = causal.build_corpus(tokenized, forward, reverse)
 
     causal.write_corpus(pairs, args.output)
@@ -198,15 +183,11 @@ def cmd_align(args, config) -> int:
 
 # ---------------------------------------------------------- build-dataset
 
-def cmd_build_dataset(args, config) -> int:
-    seed = resolve_option(args, config, "seed", 0, _integer)
-    samples_per_pair = _at_least(
-        "samples_per_pair", resolve_option(args, config, "samples_per_pair", 1, _integer), 1
-    )
-    language = resolve_option(args, config, "target_language", DEFAULT_TARGET_LANGUAGE)
+def cmd_build_dataset(args) -> int:
     corpus = causal.read_corpus(args.input)
     cfg = sft.SftConfig(
-        seed=seed, samples_per_pair=samples_per_pair, target_language=language
+        seed=args.seed, samples_per_pair=args.samples_per_pair,
+        target_language=args.target_language,
     )
     count = sft.write_samples(corpus, cfg, args.output)
     meta_path = args.meta or f"{args.output}.meta.json"
@@ -217,92 +198,77 @@ def cmd_build_dataset(args, config) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _build_shared_backend(args, config):
-    backend_kind = resolve_option(args, config, "backend", "dict")
-    if backend_kind == "dict":
+def _build_shared_backend(args):
+    if args.backend == "dict":
         if not args.dict_file:
             raise SimtransError("--dict-file is required for the dict backend")
-        mapping = _read_json(args.dict_file)
+        mapping = read_json(args.dict_file)
         if not (isinstance(mapping, dict) and all(isinstance(v, str) for v in mapping.values())):
             raise SimtransError(f"{args.dict_file}: a dictionary maps words to words")
-        lookahead = resolve_option(args, config, "lookahead", 0, _integer)
-        return backend_kind, DictionaryBackend(mapping, lookahead=lookahead)
-    if backend_kind == "replay":
+        return DictionaryBackend(mapping, lookahead=args.lookahead)
+    if args.backend == "replay":
         if not args.recording:
             raise SimtransError("--recording is required for the replay backend")
-        return backend_kind, load_recording(args.recording)
-    if backend_kind == "scripted":
+        return load_recording(args.recording)
+    if args.backend == "scripted":
         if not args.script_file:
             raise SimtransError("--script-file is required for the scripted backend")
-        scripts = _read_json(args.script_file)
+        scripts = read_json(args.script_file)
         if not (isinstance(scripts, list) and all(
                 isinstance(units, list) and all(isinstance(u, str) for u in units)
                 for units in scripts)):
             raise SimtransError(
                 f"{args.script_file}: a script file holds one list of unit strings per sentence"
             )
-        return backend_kind, scripts
-    if backend_kind == "http":
-        endpoint = resolve_option(args, config, "endpoint", None)
-        if not endpoint:
-            raise SimtransError("--endpoint is required for the http backend")
-        http_cfg = HttpBackendConfig(
-            endpoint_url=endpoint,
-            model_name=resolve_option(args, config, "model", ""),
-            api_key_env=resolve_option(args, config, "api_key_env", None),
-            top_p=resolve_option(args, config, "top_p", 0.7, _number),
-            max_unit_tokens=resolve_option(args, config, "max_unit_tokens", 12, _integer),
-            timeout_ms=_positive(
-                "timeout_ms", resolve_option(args, config, "timeout_ms", 30000.0, _number)
-            ),
-            retries=_at_least("retries", resolve_option(args, config, "retries", 2, _integer), 0),
-        )
-        return backend_kind, HttpBackend(http_cfg)
-    raise SimtransError(f"unknown backend {backend_kind!r}")
+        return scripts
+    if not args.endpoint:
+        raise SimtransError("--endpoint is required for the http backend")
+    return HttpBackend(HttpBackendConfig(
+        endpoint_url=args.endpoint,
+        model_name=args.model,
+        api_key_env=args.api_key_env,
+        top_p=args.top_p,
+        max_unit_tokens=args.max_unit_tokens,
+        timeout_ms=args.timeout_ms,
+        retries=args.retries,
+    ))
 
 
-def cmd_simulate(args, config) -> int:
-    mode = resolve_option(args, config, "mode", "text")
-    k_list = resolve_option(args, config, "k", [1], _parse_k_list)
-    workers = _at_least("workers", resolve_option(args, config, "workers", 1, _integer), 1)
-    window_ms = _positive("window_ms", resolve_option(args, config, "window_ms", 200.0, _number))
-    language = resolve_option(args, config, "target_language", DEFAULT_TARGET_LANGUAGE)
+def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
-    if mode == "text":
+    if args.mode == "text":
         sources = [_tokenize_line(args.input, n, src).words
                    for n, src, _ in _read_pair_file(args.input)]
         make_stream = lambda idx: streams.TextStream(sources[idx])
-    elif mode == "speech":
+    else:
         paths = sorted(glob.glob(os.path.join(args.input, "*.json")))
         if not paths:
             raise SimtransError(f"no transcript files in {args.input}")
         transcripts = [streams.read_transcript(p) for p in paths]
-        asr_cfg = streams.AsrSimConfig(window_ms=window_ms)
+        asr_cfg = streams.AsrSimConfig(window_ms=args.window_ms)
         make_stream = lambda idx: streams.AsrSimStream(transcripts[idx], asr_cfg)
         sources = transcripts
-    else:
-        raise SimtransError(f"unknown mode {mode!r}")
 
-    backend_kind, shared = _build_shared_backend(args, config)
+    shared = _build_shared_backend(args)
     if args.record:
-        if backend_kind == "replay":
+        if args.backend == "replay":
             raise SimtransError("--record cannot wrap the replay backend")
-        workers = 1  # recording appends sequentially
+        args.workers = 1  # recording appends sequentially
         open(args.record, "w", encoding="utf-8").close()
 
     engine_cfg = engine.EngineConfig(
         include_system=not args.no_system_message,
-        target_language=language,
+        target_language=args.target_language,
         wall_clock=args.wall_clock,
     )
-    jobs = [(idx, k) for idx in range(len(sources)) for k in k_list]
+    jobs = [(idx, k) for idx in range(len(sources)) for k in args.k]
 
     def run_one(job):
         idx, k = job
-        if backend_kind == "replay":
+        if args.backend == "replay":
             backend = ReplayBackend(shared)
-        elif backend_kind == "scripted":
+        elif args.backend == "scripted":
             if idx >= len(shared):
                 raise SimtransError(f"no script for sentence {idx}")
             backend = ScriptedBackend(shared[idx])
@@ -324,13 +290,13 @@ def cmd_simulate(args, config) -> int:
 
     failures = 0
     try:
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        if args.workers > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
                 results = list(pool.map(run_one, jobs))
         else:
             results = [run_one(job) for job in jobs]
     finally:
-        if backend_kind == "http":
+        if args.backend == "http":
             shared.close()
 
     for idx, k, trace, failed in sorted(results, key=lambda r: (r[0], r[1])):
@@ -344,15 +310,10 @@ def cmd_simulate(args, config) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-def _default_function_words():
-    ref = resources.files("simtrans").joinpath("data/function_words_en.txt")
-    return [w.strip() for w in ref.read_text(encoding="utf-8").splitlines() if w.strip()]
-
-
 def _read_trace(path):
     """One trace record with each field evaluate scores checked (delays by
     metrics.DelaySequence, events by _trace_events), or an error naming the file."""
-    rec = _read_json(path)
+    rec = read_json(path)
     if not isinstance(rec, dict):
         raise SimtransError(f"{path}: a trace must be a JSON object")
     for key in ("source", "hypothesis", "k"):
@@ -366,8 +327,8 @@ def _read_trace(path):
         (isinstance(hypothesis, list) and all(isinstance(w, str) for w in hypothesis),
          "hypothesis must be a list of words"),
         (rec["mode"] in ("text", "speech"), "mode must be text or speech"),
-        (isinstance(rec.get("source_total"), (int, float)), "source_total must be a number"),
-        (rec.get("processing_ms") is None or isinstance(rec["processing_ms"], (int, float)),
+        (type(rec.get("source_total")) in (int, float), "source_total must be a number"),
+        (rec.get("processing_ms") is None or type(rec["processing_ms"]) in (int, float),
          "processing_ms must be a number"),
     ):
         if not ok:
@@ -387,10 +348,7 @@ def _trace_events(path, rec):
     return events
 
 
-def cmd_evaluate(args, config) -> int:
-    seed = resolve_option(args, config, "seed", 0, _integer)
-    bootstrap_n = _at_least("bootstrap", resolve_option(args, config, "bootstrap", 0, _integer), 0)
-
+def cmd_evaluate(args) -> int:
     trace_paths = sorted(glob.glob(os.path.join(args.traces, "*.json")))
     if not trace_paths:
         raise SimtransError(f"no trace files in {args.traces}")
@@ -398,11 +356,7 @@ def cmd_evaluate(args, config) -> int:
     if args.histogram:
         # every input is read before the first output is written
         event_lists = [_trace_events(path, rec) for path, rec in traces]
-        if args.function_words:
-            with open(args.function_words, encoding="utf-8") as fh:
-                function_words = [w.strip() for w in fh if w.strip()]
-        else:
-            function_words = _default_function_words()
+        function_words = [w.strip() for w in lines(read_text(args.function_words)) if w.strip()]
 
     pairs = _read_pair_file(args.references)
     references = {f"{idx:04d}": (n, tgt) for idx, (n, _, tgt) in enumerate(pairs)}
@@ -453,9 +407,9 @@ def cmd_evaluate(args, config) -> int:
         rtf = metrics.real_time_factor(total_processing, total_audio) if timed else None
         scores = metrics.score_sessions(delay_seqs, hyps, refs, ref_stats)
         reports[k] = metrics.aggregate_report(scores, unit=unit, rtf=rtf)
-        if bootstrap_n:
+        if args.bootstrap:
             bootstrap[k] = metrics.bootstrap_reports(
-                scores, bootstrap_n, make_rng(seed), unit=unit, rtf=rtf
+                scores, args.bootstrap, make_rng(args.seed), unit=unit, rtf=rtf
             )
         print(f"k={k}: BLEU {reports[k].bleu:.2f}  AL {reports[k].al:.2f}  "
               f"LAAL {reports[k].laal:.2f}  AP {reports[k].ap:.3f}  "
@@ -484,7 +438,7 @@ def cmd_evaluate(args, config) -> int:
 
 # ------------------------------------------------------------------ verify
 
-def cmd_verify(args, config) -> int:
+def cmd_verify(args) -> int:
     total = 0
     bad = 0
     for record_no, line_no, problems in causal.verify_corpus_file(args.corpus):
@@ -510,7 +464,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("align", help="tokenize, align and causally restructure a corpus")
     p.add_argument("--input", required=True, help="JSONL of {source, target} pairs")
     p.add_argument("--output", required=True, help="causal corpus JSONL to write")
-    p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--alignments", help="Pharaoh file to use instead of EM alignment")
     p.set_defaults(func=cmd_align)
 
@@ -518,32 +471,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--meta", help="hyperparameter sidecar path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples-per-pair", dest="samples_per_pair", type=int, default=None)
-    p.add_argument("--target-language", dest="target_language", default=None)
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("simulate", help="run streaming sessions against a backend")
     p.add_argument("--input", required=True, help="test JSONL (text) or transcript dir (speech)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", default=None, help="comma-separated wait-k values")
-    p.add_argument("--mode", choices=["text", "speech"], default=None)
-    p.add_argument("--backend", choices=["scripted", "dict", "replay", "http"], default=None)
-    p.add_argument("--dict-file", dest="dict_file")
-    p.add_argument("--lookahead", type=int, default=None)
-    p.add_argument("--script-file", dest="script_file")
+    p.add_argument("--dict-file")
+    p.add_argument("--script-file")
     p.add_argument("--recording", help="recording to replay")
     p.add_argument("--record", help="record backend units to this file")
-    p.add_argument("--endpoint", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--api-key-env", dest="api_key_env", default=None)
-    p.add_argument("--top-p", dest="top_p", type=float, default=None)
-    p.add_argument("--max-unit-tokens", dest="max_unit_tokens", type=int, default=None)
-    p.add_argument("--timeout-ms", dest="timeout_ms", type=float, default=None)
-    p.add_argument("--retries", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--window-ms", dest="window_ms", type=float, default=None)
-    p.add_argument("--target-language", dest="target_language", default=None)
     p.add_argument("--no-system-message", action="store_true")
     p.add_argument("--wall-clock", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -554,14 +490,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", help="LatencyReport JSON output path")
     p.add_argument("--curve", help="quality-latency CSV output path")
     p.add_argument("--histogram", help="wait-position histogram JSON output path")
-    p.add_argument("--function-words", dest="function_words")
-    p.add_argument("--bootstrap", type=int, default=None, help="resample count")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--function-words", default=_FUNCTION_WORDS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", help="re-check causal corpus invariants")
     p.add_argument("corpus")
     p.set_defaults(func=cmd_verify)
+
+    # every table option is a string flag; _resolve_options casts and bounds it
+    for name, (cast, default, low, commands) in OPTIONS.items():
+        for command in commands:
+            sub.choices[command].add_argument(
+                "--" + name.replace("_", "-"),
+                metavar="{%s}" % ",".join(cast) if isinstance(cast, tuple) else None,
+                help=f"default {default!r}" + (f", {low}" if low else ""),
+            )
     return parser
 
 
@@ -569,8 +512,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        return args.func(args, config)
+        _resolve_options(args)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except FileNotFoundError as exc:

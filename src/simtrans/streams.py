@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .inputs import read_json
 
 
 class SourceStream:
@@ -79,11 +80,7 @@ class TimedTranscript:
 
 
 def read_transcript(path) -> TimedTranscript:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path=path) from exc
+    record = read_json(path)
     try:
         return TimedTranscript.from_record(record)
     except KeyError as exc:

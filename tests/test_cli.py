@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 import simtrans
 from simtrans.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY, main
 from simtrans.prompt import build_prompt, interpreter_system_message
+from simtrans.streams import TimedTranscript, write_transcript
 
 from conftest import FIXTURES, GOLDEN
 
@@ -255,6 +258,8 @@ def run_cli(*argv):
     ("bootstrap", "-1", "evaluate"),
     ("iterations", "0", "align"),
     ("samples-per-pair", "0", "build-dataset"),
+    ("lookahead", "-3", "simulate"),
+    ("max-unit-tokens", "0", "simulate-http"),
 ])
 def test_out_of_range_option_is_one_error_line(tmp_path, toy_corpus, flag, value, command):
     code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
@@ -316,6 +321,71 @@ def test_mistyped_number_in_config_is_one_error_line(tmp_path, config, flag, com
     assert len(err.splitlines()) == 1
 
 
+# option -> (a bad value, its error line, the sources that can carry it); a
+# flag or an environment variable is always text, so a string option can only
+# be mistyped in the config file
+@pytest.mark.parametrize("name, value, expected, sources", [
+    pytest.param("workers", "abc", "--workers: invalid value 'abc'", "flag config env", id="int"),
+    pytest.param("workers", "0", "--workers must be >= 1, got 0", "flag config env",
+                 id="int-bound"),
+    pytest.param("window_ms", "fast", "--window-ms: invalid value 'fast'", "flag config env",
+                 id="float"),
+    pytest.param("timeout_ms", "-1", "--timeout-ms must be > 0, got -1.0", "flag config env",
+                 id="float-bound"),
+    pytest.param("model", 5, "--model: invalid value 5", "config", id="string"),
+    pytest.param("k", "1,x", "--k: invalid value '1,x'", "flag config env", id="k-list"),
+    pytest.param("k", "2,0", "--k must be >= 1, got 0", "flag config env", id="k-list-bound"),
+    pytest.param("mode", "video", "--mode: invalid value 'video'", "flag config env",
+                 id="choice"),
+    pytest.param("backend", "bogus", "--backend: invalid value 'bogus'", "flag config env",
+                 id="choice-backend"),
+])
+def test_bad_value_is_one_error_line_from_every_source(tmp_path, monkeypatch, capsys,
+                                                       name, value, expected, sources):
+    # checked before any input is read, even by a backend that ignores it
+    argv = ["simulate", "--input", str(tmp_path / "test.jsonl"),
+            "--out-dir", str(tmp_path / "o"), "--dict-file", str(tmp_path / "dict.json")]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: value}))
+    for source in sources.split():
+        with monkeypatch.context() as env:
+            if source == "flag":
+                code = main([*argv, f"--{name.replace('_', '-')}", value])
+            elif source == "config":
+                code = main(["--config", str(config), *argv])
+            else:
+                env.setenv(f"SIMTRANS_{name.upper()}", value)
+                code = main(argv)
+        assert code == EXIT_USAGE, source
+        assert capsys.readouterr().err == f"error: {expected}\n", source
+    assert not (tmp_path / "o").exists()
+
+
+# every flag each subcommand takes; perfbench, the README and CI pass these
+_FLAGS = {
+    (): "--config",
+    ("align",): "--input --output --alignments --iterations",
+    ("build-dataset",): "--input --output --meta --seed --samples-per-pair --target-language",
+    ("simulate",): "--input --out-dir --k --mode --backend --dict-file --lookahead "
+                   "--script-file --recording --record --endpoint --model --api-key-env "
+                   "--top-p --max-unit-tokens --timeout-ms --retries --workers --window-ms "
+                   "--target-language --no-system-message --wall-clock",
+    ("evaluate",): "--traces --references --report --curve --histogram --function-words "
+                   "--bootstrap --seed",
+    ("verify",): "",
+}
+
+
+@pytest.mark.parametrize("command", _FLAGS, ids=lambda c: c[0] if c else "simtrans")
+def test_each_subcommand_keeps_its_flags(capsys, command):
+    assert main([*command, "--help"]) == EXIT_OK
+    help_text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z-]*", help_text)) == {"--help", *_FLAGS[command].split()}
+    if command == ("simulate",):
+        assert "--mode {text,speech}" in help_text
+        assert "--backend {scripted,dict,replay,http}" in help_text
+
+
 def test_evaluate_missing_function_words_writes_nothing(tmp_path, capsys):
     code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
     assert code == EXIT_OK
@@ -341,6 +411,13 @@ _CORRUPT_FIELDS = {
     "delays-bool": ({"delays_words": [True, 2, 3]}, "delays must be numbers"),
     "speech-processing-string": (
         {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": "x"},
+        "processing_ms must be a number",
+    ),
+    "source-total-bool": (
+        {"source_total": True, "delays_words": [1, 1, 1]}, "source_total must be a number",
+    ),
+    "processing-ms-bool": (
+        {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": True},
         "processing_ms must be a number",
     ),
 }
@@ -390,6 +467,9 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
 _NOT_JSON = '{"truncated": '
 _WORD_AT_100MS = {"w": "a", "end_ms": 100.0}
 _BLANK_SOURCE = json.dumps({"source": "   ", "target": "x"})
+_NOT_UTF8 = b"\r\n\xff"  # a bad byte on line 2, after a CRLF line end
+_READERS = ["config", "dict", "script", "recording", "transcript", "causal", "alignments",
+            "simulate-input", "align-input", "function-words", "trace", "references", "verify"]
 
 
 @pytest.mark.parametrize("reader, content", [
@@ -410,21 +490,33 @@ _BLANK_SOURCE = json.dumps({"source": "   ", "target": "x"})
     ("alignments", "0-x"),
     ("simulate-input", _BLANK_SOURCE),
     ("align-input", _BLANK_SOURCE),
+    *((reader, _NOT_UTF8) for reader in _READERS),
 ], ids=["config-not-json", "config-list", "dict-not-json", "dict-list", "script-not-json",
         "script-not-lists", "recording-not-json", "recording-no-hash", "transcript-not-json",
         "transcript-no-end", "transcript-not-increasing", "transcript-total-string",
         "transcript-total-negative", "causal-not-json", "alignments-bad-token",
-        "simulate-blank-source", "align-blank-source"])
+        "simulate-blank-source", "align-blank-source",
+        *(f"{reader}-not-utf8" for reader in _READERS)])
 def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
                                                            reader, content):
     bad = tmp_path / "bad.json"
+    (tmp_path / "audio").mkdir()
+    (tmp_path / "traces").mkdir()
     if reader == "transcript":
-        (tmp_path / "audio").mkdir()
         bad = tmp_path / "audio" / "0000.json"
-    bad.write_text(content)
+    if reader == "trace":
+        bad = tmp_path / "traces" / "0000_k1.json"
+    else:  # one good trace for evaluate to read
+        (tmp_path / "traces" / "0000_k1.json").write_bytes(
+            (GOLDEN / "inference_trace.json").read_bytes())
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
     test_set = tmp_path / "test.jsonl"
     write_jsonl(test_set, [{"source": "a b", "target": "x y"}])
     simulate = ["simulate", "--input", test_set, "--out-dir", tmp_path / "o"]
+    evaluate = ["evaluate", "--traces", tmp_path / "traces", "--references", test_set]
     argv = {
         "config": ["--config", bad, "align", "--input", toy_corpus,
                    "--output", tmp_path / "c.jsonl"],
@@ -440,13 +532,20 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
         "simulate-input": ["simulate", "--input", bad, "--out-dir", tmp_path / "o",
                            "--backend", "dict", "--dict-file", FIXTURES / "evaluate" / "dict.json"],
         "align-input": ["align", "--input", bad, "--output", tmp_path / "c.jsonl"],
+        "function-words": [*evaluate, "--histogram", tmp_path / "h.json",
+                           "--function-words", bad],
+        "trace": evaluate,
+        "references": ["evaluate", "--traces", tmp_path / "traces", "--references", bad],
+        "verify": ["verify", bad],
     }[reader]
     code, err = run_cli(*argv)
     assert code == EXIT_USAGE
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {bad}: ")
-    if reader in ("causal", "alignments", "simulate-input", "align-input"):
+    if content == _NOT_UTF8:
+        assert err == f"error: {bad}: line 2: not UTF-8 text (byte 0xff)\n"
+    elif reader in ("causal", "alignments", "simulate-input", "align-input"):
         assert err.startswith(f"error: {bad}: line 1: ")
 
 
@@ -604,35 +703,46 @@ def test_cli_imports_without_requests():
 
 
 def test_config_precedence(tmp_path, toy_corpus, monkeypatch):
-    # flags > config file > environment > defaults, probed via the seed
+    # flags > config file > environment > defaults, probed through an int
+    # (seed) and a string (target_language) in the samples build-dataset
+    # writes, and a float (window_ms) in the speech trace simulate writes
     causal = tmp_path / "causal.jsonl"
     main(["align", "--input", str(toy_corpus), "--output", str(causal)])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 7}))
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    words = [{"w": w, "end_ms": 100.0 * (n + 1)} for n, w in enumerate("abcdef")]
+    write_transcript(TimedTranscript(words=words, total_ms=600.0), audio / "0000.json")
+    dict_file = tmp_path / "dict.json"
+    dict_file.write_text(json.dumps({w: w.upper() for w in "abcdef"}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 7, "target_language": "Russian", "window_ms": 250}))
+    runs = itertools.count()
 
-    def build(out, *argv):
-        assert main([*argv, "build-dataset", "--input", str(causal),
-                     "--output", str(out)]) == EXIT_OK
-        return out.read_bytes()
+    def outputs(*config_flag, build=(), simulate=()):
+        """(samples, speech trace) of one build-dataset and one simulate run."""
+        out = tmp_path / f"run{next(runs)}"
+        assert main([*config_flag, "simulate", "--input", str(audio), "--mode", "speech",
+                     "--out-dir", str(out), "--dict-file", str(dict_file), *simulate]) == EXIT_OK
+        assert main([*config_flag, "build-dataset", "--input", str(causal),
+                     "--output", str(out / "samples.jsonl"), *build]) == EXIT_OK
+        return (out / "samples.jsonl").read_bytes(), (out / "0000_k1.json").read_bytes()
 
-    by_default = build(tmp_path / "o_default.jsonl")                   # seed 0
-    by_flag5 = build(tmp_path / "o_flag5.jsonl")  # placeholder overwritten below
-    assert main(["build-dataset", "--input", str(causal),
-                 "--output", str(tmp_path / "o_flag5.jsonl"), "--seed", "5"]) == EXIT_OK
-    by_flag5 = (tmp_path / "o_flag5.jsonl").read_bytes()
-    by_flag7 = build(tmp_path / "o_flag7.jsonl")
-    assert main(["build-dataset", "--input", str(causal),
-                 "--output", str(tmp_path / "o_flag7.jsonl"), "--seed", "7"]) == EXIT_OK
-    by_flag7 = (tmp_path / "o_flag7.jsonl").read_bytes()
-    assert by_flag5 != by_default and by_flag7 != by_flag5
+    by_default = outputs()                                   # seed 0, German, 200 ms
+    by_flags = outputs(build=["--seed", "5", "--target-language", "French"],
+                       simulate=["--window-ms", "100"])
+    like_config = outputs(build=["--seed", "7", "--target-language", "Russian"],
+                          simulate=["--window-ms", "250"])
+    for default, flagged, configured in zip(by_default, by_flags, like_config):
+        assert len({default, flagged, configured}) == 3
 
     monkeypatch.setenv("SIMTRANS_SEED", "5")
-    assert build(tmp_path / "o_env.jsonl") == by_flag5                 # env beats default
-    assert build(tmp_path / "o_cfg.jsonl", "--config", str(cfg)) == by_flag7  # cfg beats env
-    flagged = tmp_path / "o_flag_wins.jsonl"
-    assert main(["--config", str(cfg), "build-dataset", "--input", str(causal),
-                 "--output", str(flagged), "--seed", "0"]) == EXIT_OK
-    assert flagged.read_bytes() == by_default                          # flag beats cfg+env
+    monkeypatch.setenv("SIMTRANS_TARGET_LANGUAGE", "French")
+    monkeypatch.setenv("SIMTRANS_WINDOW_MS", "100")
+    assert outputs() == by_flags                                 # env beats default
+    assert outputs("--config", str(config)) == like_config       # config beats env
+    assert outputs("--config", str(config),                      # flag beats config and env
+                   build=["--seed", "0", "--target-language", "German"],
+                   simulate=["--window-ms", "200"]) == by_default
 
 
 def test_usage_error_exit_code():
