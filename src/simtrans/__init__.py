@@ -37,7 +37,7 @@ from .metrics import (
 from .prompt import build_prompt, interpreter_system_message
 from .sft import SftConfig, emit_samples, training_meta, trim_pair
 from .streams import AsrSimConfig, AsrSimStream, TextStream, TimedTranscript
-from .tokenizer import TokenizedSentence, detokenize, tokenize
+from .tokenizer import detokenize, tokenize
 from .units import FILLER_TOKEN, Signal, WAIT_TOKEN
 
 __version__ = "0.1.0"

@@ -20,11 +20,6 @@ from .errors import BoundsError, EmptyCorpus, InputMismatch, ParseError
 DEFAULT_ITERATIONS = 15
 
 
-def _word_list(sentence) -> list[str]:
-    words = getattr(sentence, "words", sentence)
-    return list(words)
-
-
 @dataclass
 class AlignmentLinkSet:
     links: set
@@ -61,35 +56,16 @@ class TranslationTable:
     _tgt_index: dict = field(repr=False, default_factory=dict)
     _slot_keys: np.ndarray = field(repr=False, init=False, compare=False, default=None)
 
-    def _row_slice(self, row: int):
-        return slice(int(self.row_ptr[row]), int(self.row_ptr[row + 1]))
-
-    def _prob_by_ids(self, e: int, f: int) -> float:
-        sl = self._row_slice(e)
-        cols = self.col[sl]
-        k = np.searchsorted(cols, f)
-        if k < cols.size and cols[k] == f:
-            return float(self.probs[sl][k])
-        return 0.0
-
     def prob(self, source_word, target_word) -> float:
         """p(target_word | source_word); source_word=None selects NULL."""
-        f = self._tgt_index.get(target_word)
-        if f is None:
-            return 0.0
-        if source_word is None:
-            return self._prob_by_ids(0, f)
-        e = self._src_index.get(source_word)
-        if e is None:
-            return 0.0
-        return self._prob_by_ids(e, f)
+        return self.row(source_word).get(target_word, 0.0)
 
     def row(self, source_word) -> dict:
         """Full row as {target word: probability}; None selects NULL."""
         e = 0 if source_word is None else self._src_index.get(source_word)
         if e is None:
             return {}
-        sl = self._row_slice(e)
+        sl = slice(self.row_ptr[e], self.row_ptr[e + 1])
         return {
             self.target_vocab[int(f)]: float(p)
             for f, p in zip(self.col[sl], self.probs[sl])
@@ -148,36 +124,6 @@ def _layout(pairs, row_id, col_id) -> _Layout:
     return _Layout(event_row, event_col, group_ptr, row_lens, col_lens)
 
 
-def _encode(pairs):
-    src_index, tgt_index = {}, {}
-    layout = _layout(
-        pairs,
-        lambda w: src_index.setdefault(w, len(src_index) + 1),  # 0 reserved for NULL
-        lambda w: tgt_index.setdefault(w, len(tgt_index)),
-    )
-    ll_const = 0.0
-    for n_rows, n_cols in zip(layout.row_lens.tolist(), layout.col_lens.tolist()):
-        ll_const += n_cols * math.log(n_rows + 1)
-
-    n_tgt = len(tgt_index)
-    slots, event_slot = np.unique(
-        layout.event_col + layout.event_row * n_tgt, return_inverse=True
-    )
-    col = slots % n_tgt
-    row_ptr = np.searchsorted(slots // n_tgt, np.arange(len(src_index) + 2))
-    return (
-        list(src_index),
-        list(tgt_index),
-        src_index,
-        tgt_index,
-        col,
-        row_ptr,
-        event_slot,
-        layout.group_ptr,
-        ll_const,
-    )
-
-
 def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "forward") -> TranslationTable:
     """EM-train a lexical table over (source, target) sentence pairs.
 
@@ -188,7 +134,7 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    pairs = [( _word_list(s), _word_list(t)) for s, t in corpus]
+    pairs = list(corpus)
     if direction == "reverse":
         pairs = [(t, s) for s, t in pairs]
     elif direction != "forward":
@@ -196,21 +142,34 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     if not pairs:
         raise EmptyCorpus("alignment training needs at least one sentence pair")
 
-    (src_vocab, tgt_vocab, src_index, tgt_index,
-     col, row_ptr, event_slot, group_ptr, ll_const) = _encode(pairs)
-    if not tgt_vocab:
+    src_index, tgt_index = {}, {}
+    layout = _layout(
+        pairs,
+        lambda w: src_index.setdefault(w, len(src_index) + 1),  # 0 reserved for NULL
+        lambda w: tgt_index.setdefault(w, len(tgt_index)),
+    )
+    n_tgt = len(tgt_index)
+    if not n_tgt:
         side = "target" if direction == "forward" else "source"
         raise EmptyCorpus(f"alignment training needs at least one {side} word")
+    ll_const = 0.0
+    for n_rows, n_cols in zip(layout.row_lens.tolist(), layout.col_lens.tolist()):
+        ll_const += n_cols * math.log(n_rows + 1)
 
-    probs = np.full(col.size, 1.0 / len(tgt_vocab), dtype=np.float64)
+    slots, event_slot = np.unique(
+        layout.event_col + layout.event_row * n_tgt, return_inverse=True
+    )
+    col = slots % n_tgt
+    row_ptr = np.searchsorted(slots // n_tgt, np.arange(len(src_index) + 2))
+    probs = np.full(col.size, 1.0 / n_tgt, dtype=np.float64)
     history = []
     for _ in range(iterations):
-        probs, ll = _kernels.em_sweep(probs, event_slot, group_ptr, row_ptr, ll_const)
+        probs, ll = _kernels.em_sweep(probs, event_slot, layout.group_ptr, row_ptr, ll_const)
         history.append(ll)
 
     return TranslationTable(
-        source_vocab=src_vocab,
-        target_vocab=tgt_vocab,
+        source_vocab=list(src_index),
+        target_vocab=list(tgt_index),
         row_ptr=row_ptr,
         col=col,
         probs=probs,
@@ -239,7 +198,7 @@ def align_corpus(corpus, forward: TranslationTable, reverse: TranslationTable) -
     beat every position to absorb a word. A word a table never saw has
     probability 0 there, so it gets no link.
     """
-    pairs = [(_word_list(s), _word_list(t)) for s, t in corpus]
+    pairs = list(corpus)
     # fwd[g]: source position for target position g; rev[g]: target position for source g
     fwd, layout = _best_rows(pairs, forward)
     rev, _ = _best_rows([(t, s) for s, t in pairs], reverse)
@@ -275,7 +234,7 @@ def parse_pharaoh_line(line: str, line_no: int = None, path=None) -> set:
 
 def import_alignments(path, corpus) -> list:
     """Read Pharaoh "i-j" lines, validating bounds against a companion corpus."""
-    sizes = [(len(_word_list(s)), len(_word_list(t))) for s, t in corpus]
+    sizes = [(len(s), len(t)) for s, t in corpus]
     out = []
     lines = list(inputs.lines(inputs.read_text(path)))  # a blank line is a pair with no links
     if len(lines) != len(sizes):

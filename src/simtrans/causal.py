@@ -13,8 +13,8 @@ reaches a model.
 import json
 from dataclasses import dataclass
 
-from .aligner import AlignmentLinkSet, align_corpus
-from .errors import ParseError, SimtransError
+from .aligner import AlignmentLinkSet
+from .errors import InputMismatch, ParseError
 from .inputs import json_lines, read_jsonl
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
@@ -44,21 +44,18 @@ def causal_align(src, tgt, links: AlignmentLinkSet) -> CausalPair:
     its links; unlinked words carry none. A greedy left-to-right pass inserts
     the minimum number of markers for this scheme.
     """
-    src_words = list(getattr(src, "words", src))
-    tgt_words = list(getattr(tgt, "words", tgt))
-
     constraint = {}
     for i, j in links.links:
         constraint[j] = max(i, constraint.get(j, -1))
 
     out_target = []
-    for j, word in enumerate(tgt_words):
+    for j, word in enumerate(tgt):
         need = constraint.get(j, -1)
         while len(out_target) < need:
             out_target.append(WAIT_TOKEN)
         out_target.append(word)
 
-    out_source = list(src_words)
+    out_source = list(src)
     if len(out_target) > len(out_source):
         out_source.extend([FILLER_TOKEN] * (len(out_target) - len(out_source)))
     elif len(out_source) > len(out_target):
@@ -68,7 +65,7 @@ def causal_align(src, tgt, links: AlignmentLinkSet) -> CausalPair:
         source_words=out_source,
         target_words=out_target,
         wait_count=sum(1 for w in out_target if w == WAIT_TOKEN),
-        filler_count=len(out_source) - len(src_words),
+        filler_count=len(out_source) - len(src),
         origin_links=links,
     )
 
@@ -84,23 +81,13 @@ class CorpusStats:
         return self.wait_total / self.pair_count if self.pair_count else 0.0
 
 
-def build_corpus(pairs, forward, reverse, align_fn=None):
-    """Causally align every (source, target) pair; returns (pairs, stats).
-
-    align_fn overrides the table-based aligner, e.g. to feed imported link
-    sets: it receives (index, src, tgt) and returns an AlignmentLinkSet.
-    """
+def build_corpus(pairs, link_sets):
+    """Causally align every (source, target) pair with its link set, in
+    order; returns (pairs, stats)."""
     pairs = list(pairs)
-    if align_fn is None:
-        link_sets = align_corpus(pairs, forward, reverse)
-        align_fn = lambda idx, src, tgt: link_sets[idx]
-
-    out = []
-    for idx, (src, tgt) in enumerate(pairs):
-        try:
-            out.append(causal_align(src, tgt, align_fn(idx, src, tgt)))
-        except SimtransError as exc:
-            raise type(exc)(f"pair {idx}: {exc}") from exc
+    if len(link_sets) != len(pairs):
+        raise InputMismatch(f"{len(link_sets)} link sets for {len(pairs)} pairs")
+    out = [causal_align(src, tgt, links) for (src, tgt), links in zip(pairs, link_sets)]
     stats = CorpusStats(
         pair_count=len(out),
         wait_total=sum(p.wait_count for p in out),

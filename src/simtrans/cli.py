@@ -10,6 +10,7 @@ import argparse
 import concurrent.futures
 import glob
 import json
+import math
 import os
 import sys
 
@@ -52,10 +53,13 @@ def _string(value):
 
 
 def _number(value):
-    """float(value) for a number or its text; a JSON true or false is not one."""
+    """float(value) for a finite number or its text; a JSON true or false is not one."""
     if isinstance(value, bool):
         raise TypeError(value)
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
 
 
 def _integer(value):
@@ -66,8 +70,10 @@ def _integer(value):
 
 
 def _integers(value):
-    """A list of whole numbers from a JSON list or comma-separated text."""
+    """A non-empty list of whole numbers from a JSON list or comma-separated text."""
     items = value if isinstance(value, list) else [v for v in str(value).split(",") if v.strip()]
+    if not items:
+        raise ValueError(value)
     return [_integer(v) for v in items]
 
 
@@ -88,7 +94,7 @@ OPTIONS = {
     "endpoint": (_string, None, None, ("simulate",)),
     "model": (_string, "", None, ("simulate",)),
     "api_key_env": (_string, None, None, ("simulate",)),
-    "top_p": (_number, 0.7, None, ("simulate",)),
+    "top_p": (_number, 0.7, "> 0", ("simulate",)),
     "max_unit_tokens": (_integer, 12, ">= 1", ("simulate",)),
     "timeout_ms": (_number, 30000.0, "> 0", ("simulate",)),
     "retries": (_integer, 2, ">= 0", ("simulate",)),
@@ -164,13 +170,12 @@ def cmd_align(args) -> int:
     ]
 
     if args.alignments:
-        imported = aligner.import_alignments(args.alignments, tokenized)
-        align_fn = lambda idx, s, t: imported[idx]
-        pairs, stats = causal.build_corpus(tokenized, None, None, align_fn=align_fn)
+        link_sets = aligner.import_alignments(args.alignments, tokenized)
     else:
         forward = aligner.train_table(tokenized, iterations=args.iterations)
         reverse = aligner.train_table(tokenized, iterations=args.iterations, direction="reverse")
-        pairs, stats = causal.build_corpus(tokenized, forward, reverse)
+        link_sets = aligner.align_corpus(tokenized, forward, reverse)
+    pairs, stats = causal.build_corpus(tokenized, link_sets)
 
     causal.write_corpus(pairs, args.output)
     print(
@@ -238,8 +243,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     if args.mode == "text":
-        sources = [_tokenize_line(args.input, n, src).words
-                   for n, src, _ in _read_pair_file(args.input)]
+        sources = [_tokenize_line(args.input, n, src) for n, src, _ in _read_pair_file(args.input)]
         make_stream = lambda idx: streams.TextStream(sources[idx])
     else:
         paths = sorted(glob.glob(os.path.join(args.input, "*.json")))
@@ -286,25 +290,21 @@ def cmd_simulate(args) -> int:
             if args.record:
                 backend.close()
         trace.session_id = f"{idx:04d}"
-        return idx, k, trace, failed
+        # written as soon as the session ends, so an aborted run keeps it
+        _atomic_write(os.path.join(args.out_dir, f"{idx:04d}_k{k}.json"), trace.to_json() + "\n")
+        return failed
 
-    failures = 0
     try:
         if args.workers > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(run_one, jobs))
+                failures = sum(pool.map(run_one, jobs))
         else:
-            results = [run_one(job) for job in jobs]
+            failures = sum(map(run_one, jobs))
     finally:
         if args.backend == "http":
             shared.close()
 
-    for idx, k, trace, failed in sorted(results, key=lambda r: (r[0], r[1])):
-        failures += int(failed)
-        path = os.path.join(args.out_dir, f"{idx:04d}_k{k}.json")
-        _atomic_write(path, trace.to_json() + "\n")
-
-    print(f"wrote {len(results)} traces -> {args.out_dir} ({failures} failed)")
+    print(f"wrote {len(jobs)} traces -> {args.out_dir} ({failures} failed)")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -382,7 +382,7 @@ def cmd_evaluate(args) -> int:
             if session_id not in ref_cache:
                 ref_cache[session_id] = (
                     bleu.reference_stats(ref_text),
-                    len(_tokenize_line(args.references, n, ref_text).words),
+                    len(_tokenize_line(args.references, n, ref_text)),
                 )
             stats, ref_len = ref_cache[session_id]
             speech = rec["mode"] == "speech"
@@ -516,8 +516,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except SimtransError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,7 @@ audio in speech mode) consumed when hypothesis word t was committed.
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -158,21 +157,7 @@ class LatencyReport:
     skipped_sessions: int = 0
 
     def to_record(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "al": self.al,
-            "laal": self.laal,
-            "ap": self.ap,
-            "dal": self.dal,
-            "rtf": self.rtf,
-            "unit": self.unit,
-            "session_count": self.session_count,
-            "truncated_sessions": self.truncated_sessions,
-            "skipped_sessions": self.skipped_sessions,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), ensure_ascii=False)
+        return asdict(self)
 
 
 @dataclass
@@ -273,12 +258,11 @@ def bootstrap_reports(scores: SessionScores, n_resamples, rng, unit="words", rtf
     samples = []
     for _ in range(n_resamples):
         idx = rng.integers(0, size, size=size)
-        samples.append(_report(scores, idx, unit, rtf).to_record())
+        samples.append(_report(scores, idx, unit, rtf))
 
-    fields = ["bleu", "al", "laal", "ap", "dal"]
     out = {}
-    for name in fields:
-        values = [s[name] for s in samples]
+    for name in ("bleu", "al", "laal", "ap", "dal"):
+        values = [getattr(s, name) for s in samples]
         m = sum(values) / len(values)
         var = sum((v - m) ** 2 for v in values) / len(values)
         out[name] = {"mean": m, "std": var ** 0.5}

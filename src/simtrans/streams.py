@@ -28,7 +28,7 @@ class TextStream(SourceStream):
     mode = "text"
 
     def __init__(self, sentence):
-        self.words = list(getattr(sentence, "words", sentence))
+        self.words = list(sentence)
         self.total_clock = len(self.words)
 
     def __iter__(self):

@@ -20,8 +20,6 @@ dashes and spaced quotes normalize away; natural orthography round-trips.
 
 import re
 import unicodedata
-from dataclasses import dataclass
-
 from .errors import EmptySentence
 
 _APOSTROPHES = ("'", "’")
@@ -35,22 +33,6 @@ _SUFFIX_RE = re.compile(r"(?i)(?:n['’]t|['’](?:re|ve|ll|s|d|m))$")
 
 _CLOSERS = {".", ",", "!", "?", ";", ":", ")", "]", "}", "…", "»", "”"}
 _OPENERS = {"(", "[", "{", "«", "“", "‘", "¿", "¡"}
-
-
-@dataclass
-class TokenizedSentence:
-    words: list[str]
-    original: str = ""
-
-    def __post_init__(self):
-        if not self.original:
-            self.original = detokenize(self.words)
-
-    def __len__(self):
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
 
 
 def _normalize_suffix(tok: str) -> str:
@@ -111,20 +93,19 @@ def _split_chunk(chunk: str) -> list[str]:
     return out
 
 
-def tokenize(sentence: str) -> TokenizedSentence:
+def tokenize(sentence: str) -> list[str]:
     """Segment a raw sentence into words, punctuation standing alone.
 
     Deterministic and idempotent on its own space-joined output. Raises
     EmptySentence when nothing is left after trimming.
     """
-    original = sentence
     norm = unicodedata.normalize("NFC", sentence).strip()
     if not norm:
         raise EmptySentence("sentence is empty after trimming")
     words = []
     for chunk in norm.split():
         words.extend(w for w in _split_chunk(chunk) if w)
-    return TokenizedSentence(words=words, original=original)
+    return words
 
 
 def _attach_prev(tok: str) -> bool:

@@ -195,7 +195,7 @@ def _scan_split_chunk(chunk):
 
 
 def scan_tokenize(sentence):
-    """tokenize(sentence).words with no shortcut for chunks lacking marks."""
+    """tokenize(sentence) with no shortcut for chunks lacking marks."""
     words = []
     for chunk in unicodedata.normalize("NFC", sentence).split():
         words.extend(w for w in _scan_split_chunk(chunk) if w)

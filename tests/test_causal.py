@@ -10,6 +10,7 @@ from simtrans.causal import (
     verify_pair,
     write_corpus,
 )
+from simtrans.errors import InputMismatch
 from simtrans.units import FILLER_TOKEN, WAIT_TOKEN
 
 from conftest import random_permutation_pair
@@ -93,22 +94,24 @@ def test_greedy_is_minimal_for_small_pairs(rng):
 def test_build_corpus_stats():
     pairs = [(["a", "b"], ["x", "y"]), (["c", "d"], ["p", "q"])]
 
-    def identity_links(idx, s, t):
-        return links_of({(0, 0), (1, 1)}, 2, 2)
-
-    built, stats = build_corpus(pairs, None, None, align_fn=identity_links)
+    identity_links = links_of({(0, 0), (1, 1)}, 2, 2)
+    built, stats = build_corpus(pairs, [identity_links, identity_links])
     assert stats.pair_count == 2 and stats.wait_total == 0 and stats.filler_total == 0
 
-    def inverted_links(idx, s, t):
-        return links_of({(1, 0), (0, 1)}, 2, 2)
-
-    built, stats = build_corpus(pairs[:1], None, None, align_fn=inverted_links)
+    inverted_links = links_of({(1, 0), (0, 1)}, 2, 2)
+    built, stats = build_corpus(pairs[:1], [inverted_links])
     assert stats.wait_total == 1 and stats.filler_total == 1
 
 
 def test_build_corpus_empty():
-    built, stats = build_corpus([], None, None, align_fn=lambda i, s, t: None)
+    built, stats = build_corpus([], [])
     assert built == [] and stats.pair_count == 0
+
+
+def test_build_corpus_needs_one_link_set_per_pair():
+    pairs = [(["a", "b"], ["x", "y"]), (["c", "d"], ["p", "q"])]
+    with pytest.raises(InputMismatch):
+        build_corpus(pairs, [links_of({(0, 0)}, 2, 2)])
 
 
 def test_corpus_file_round_trip(tmp_path, rng):

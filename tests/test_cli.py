@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -67,6 +68,22 @@ def test_align_with_imported_alignments(tmp_path, capsys):
                  "--alignments", str(pharaoh)]) == EXIT_OK
     record = json.loads(out.read_text())
     assert record["waits"] == 1 and record["fillers"] == 1
+
+
+def test_imported_em_links_rebuild_the_same_corpus(tmp_path):
+    # align --alignments and EM align end in the same build_corpus call
+    test_set = FIXTURES / "evaluate" / "test.jsonl"
+    em = tmp_path / "em.jsonl"
+    assert main(["align", "--input", str(test_set), "--output", str(em)]) == EXIT_OK
+    pharaoh = tmp_path / "links.txt"
+    pharaoh.write_text("".join(
+        " ".join(f"{i}-{j}" for i, j in json.loads(line)["links"]) + "\n"
+        for line in em.read_text(encoding="utf-8").splitlines()
+    ))
+    imported = tmp_path / "imported.jsonl"
+    assert main(["align", "--input", str(test_set), "--output", str(imported),
+                 "--alignments", str(pharaoh)]) == EXIT_OK
+    assert imported.read_bytes() == em.read_bytes()
 
 
 def test_build_dataset_deterministic(tmp_path, toy_corpus):
@@ -148,6 +165,19 @@ def test_simulate_scripted_matches_golden(tmp_path):
                  "--k", "1"]) == EXIT_OK
     produced = (out_dir / "0000_k1.json").read_text(encoding="utf-8")
     assert produced == (GOLDEN / "inference_trace.json").read_text(encoding="utf-8")
+
+
+def test_simulate_keeps_the_traces_it_finished(tmp_path, capsys):
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": f"w{i}", "target": f"W{i}"} for i in range(3)])
+    script_file = tmp_path / "script.json"
+    script_file.write_text(json.dumps([["A", "<EOS>"], ["B", "<EOS>"]]))  # none for sentence 2
+    out_dir = tmp_path / "traces"
+    assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
+                 "--backend", "scripted", "--script-file", str(script_file),
+                 "--k", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: no script for sentence 2\n"
+    assert (out_dir / "0000_k1.json").exists()
 
 
 def test_simulate_http_unreachable(tmp_path, capsys):
@@ -250,6 +280,10 @@ def run_cli(*argv):
 @pytest.mark.parametrize("flag, value, command", [
     ("k", "0", "simulate"),
     ("k", "two", "simulate"),
+    ("k", ",", "simulate"),
+    ("top-p", "nan", "simulate-http"),
+    ("top-p", "-5", "simulate-http"),
+    ("timeout-ms", "inf", "simulate-http"),
     ("retries", "-1", "simulate-http"),
     ("timeout-ms", "0", "simulate-http"),
     ("window-ms", "0", "simulate"),
@@ -335,6 +369,14 @@ def test_mistyped_number_in_config_is_one_error_line(tmp_path, config, flag, com
     pytest.param("model", 5, "--model: invalid value 5", "config", id="string"),
     pytest.param("k", "1,x", "--k: invalid value '1,x'", "flag config env", id="k-list"),
     pytest.param("k", "2,0", "--k must be >= 1, got 0", "flag config env", id="k-list-bound"),
+    pytest.param("k", ",", "--k: invalid value ','", "flag config env", id="k-list-empty"),
+    pytest.param("k", [], "--k: invalid value []", "config", id="k-config-empty"),
+    pytest.param("top_p", "nan", "--top-p: invalid value 'nan'", "flag config env",
+                 id="float-nan"),
+    pytest.param("top_p", "-5", "--top-p must be > 0, got -5.0", "flag config env",
+                 id="top-p-bound"),
+    pytest.param("timeout_ms", "inf", "--timeout-ms: invalid value 'inf'", "flag config env",
+                 id="float-inf"),
     pytest.param("mode", "video", "--mode: invalid value 'video'", "flag config env",
                  id="choice"),
     pytest.param("backend", "bogus", "--backend: invalid value 'bogus'", "flag config env",
@@ -468,6 +510,7 @@ _NOT_JSON = '{"truncated": '
 _WORD_AT_100MS = {"w": "a", "end_ms": 100.0}
 _BLANK_SOURCE = json.dumps({"source": "   ", "target": "x"})
 _NOT_UTF8 = b"\r\n\xff"  # a bad byte on line 2, after a CRLF line end
+_DIRECTORY = object()  # the path is made a directory instead of a file
 _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "alignments",
             "simulate-input", "align-input", "function-words", "trace", "references", "verify"]
 
@@ -490,12 +533,16 @@ _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "al
     ("alignments", "0-x"),
     ("simulate-input", _BLANK_SOURCE),
     ("align-input", _BLANK_SOURCE),
+    ("dict", _DIRECTORY),
+    ("align-input", _DIRECTORY),
+    ("out-dir", ""),
     *((reader, _NOT_UTF8) for reader in _READERS),
 ], ids=["config-not-json", "config-list", "dict-not-json", "dict-list", "script-not-json",
         "script-not-lists", "recording-not-json", "recording-no-hash", "transcript-not-json",
         "transcript-no-end", "transcript-not-increasing", "transcript-total-string",
         "transcript-total-negative", "causal-not-json", "alignments-bad-token",
-        "simulate-blank-source", "align-blank-source",
+        "simulate-blank-source", "align-blank-source", "dict-directory",
+        "align-input-directory", "out-dir-existing-file",
         *(f"{reader}-not-utf8" for reader in _READERS)])
 def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
                                                            reader, content):
@@ -509,7 +556,9 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
     else:  # one good trace for evaluate to read
         (tmp_path / "traces" / "0000_k1.json").write_bytes(
             (GOLDEN / "inference_trace.json").read_bytes())
-    if isinstance(content, bytes):
+    if content is _DIRECTORY:
+        bad.mkdir()
+    elif isinstance(content, bytes):
         bad.write_bytes(content)
     else:
         bad.write_text(content)
@@ -532,6 +581,8 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
         "simulate-input": ["simulate", "--input", bad, "--out-dir", tmp_path / "o",
                            "--backend", "dict", "--dict-file", FIXTURES / "evaluate" / "dict.json"],
         "align-input": ["align", "--input", bad, "--output", tmp_path / "c.jsonl"],
+        "out-dir": ["simulate", "--input", test_set, "--out-dir", bad, "--backend", "dict",
+                    "--dict-file", FIXTURES / "evaluate" / "dict.json"],
         "function-words": [*evaluate, "--histogram", tmp_path / "h.json",
                            "--function-words", bad],
         "trace": evaluate,
@@ -545,6 +596,10 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
     assert err.startswith(f"error: {bad}: ")
     if content == _NOT_UTF8:
         assert err == f"error: {bad}: line 2: not UTF-8 text (byte 0xff)\n"
+    elif content is _DIRECTORY:
+        assert err == f"error: {bad}: {os.strerror(errno.EISDIR)}\n"
+    elif reader == "out-dir":
+        assert err == f"error: {bad}: {os.strerror(errno.EEXIST)}\n"
     elif reader in ("causal", "alignments", "simulate-input", "align-input"):
         assert err.startswith(f"error: {bad}: line 1: ")
 
