@@ -11,6 +11,7 @@ import concurrent.futures
 import glob
 import json
 import math
+import operator
 import os
 import sys
 
@@ -77,9 +78,10 @@ def _integers(value):
     return [_integer(v) for v in items]
 
 
-# Each valued option, once: name -> (cast, default, lowest value, subcommands).
-# A tuple cast lists the option's choices; a list value is bounded item by
-# item. main resolves the chosen subcommand's options as flag > --config >
+# Each valued option, once: name -> (cast, default, bounds, subcommands).
+# A tuple cast lists the option's choices; bounds are comma-separated
+# comparisons such as "> 0, <= 1", and a list value is bounded item by item.
+# main resolves the chosen subcommand's options as flag > --config >
 # SIMTRANS_<NAME> > default, casting and bounding a value from every source
 # alike, and sets each on args. Paths and on/off switches are plain flags.
 OPTIONS = {
@@ -94,7 +96,7 @@ OPTIONS = {
     "endpoint": (_string, None, None, ("simulate",)),
     "model": (_string, "", None, ("simulate",)),
     "api_key_env": (_string, None, None, ("simulate",)),
-    "top_p": (_number, 0.7, "> 0", ("simulate",)),
+    "top_p": (_number, 0.7, "> 0, <= 1", ("simulate",)),
     "max_unit_tokens": (_integer, 12, ">= 1", ("simulate",)),
     "timeout_ms": (_number, 30000.0, "> 0", ("simulate",)),
     "retries": (_integer, 2, ">= 0", ("simulate",)),
@@ -104,11 +106,14 @@ OPTIONS = {
 }
 
 
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
 def _resolve_options(args):
     config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise SimtransError(f"{args.config}: a config file must hold a JSON object")
-    for name, (cast, default, low, commands) in OPTIONS.items():
+    for name, (cast, default, bounds, commands) in OPTIONS.items():
         if args.command not in commands:
             continue
         flag = "--" + name.replace("_", "-")
@@ -127,11 +132,11 @@ def _resolve_options(args):
                 value = cast(value)
             except (TypeError, ValueError) as exc:
                 raise SimtransError(f"{flag}: invalid value {value!r}") from exc
-            if low:
-                op, limit = low.split()
+            for bound in bounds.split(",") if bounds else ():
+                op, limit = bound.split()
                 for v in value if isinstance(value, list) else [value]:
-                    if not (v > float(limit) if op == ">" else v >= float(limit)):
-                        raise SimtransError(f"{flag} must be {low}, got {v}")
+                    if not _COMPARE[op](v, float(limit)):
+                        raise SimtransError(f"{flag} must be {bound.strip()}, got {v}")
         setattr(args, name, value)
 
 
@@ -255,6 +260,10 @@ def cmd_simulate(args) -> int:
         sources = transcripts
 
     shared = _build_shared_backend(args)
+    if args.backend == "scripted" and len(shared) < len(sources):
+        raise SimtransError(
+            f"{args.script_file}: {len(shared)} script lists for {len(sources)} input sentences"
+        )
     if args.record:
         if args.backend == "replay":
             raise SimtransError("--record cannot wrap the replay backend")
@@ -273,8 +282,6 @@ def cmd_simulate(args) -> int:
         if args.backend == "replay":
             backend = ReplayBackend(shared)
         elif args.backend == "scripted":
-            if idx >= len(shared):
-                raise SimtransError(f"no script for sentence {idx}")
             backend = ScriptedBackend(shared[idx])
         else:
             backend = shared
@@ -367,24 +374,28 @@ def cmd_evaluate(args) -> int:
             raise SimtransError(f"{path}: no reference for trace id {rec['id']!r}")
         by_k.setdefault(rec["k"], []).append((path, rec))
 
-    # each reference is tokenized once, however many k groups score it
+    # each reference is tokenized once, however many k groups score it, and
+    # each distinct 13a chunk once per run (memo lives for this call only)
+    memo = {}
+    ref_tokens = []
     ref_cache = {}
     reports = {}
     bootstrap = {}
     for k, group in sorted(by_k.items()):
-        delay_seqs, hyps, refs, ref_stats = [], [], [], []
+        delay_seqs, hyp_tokens, ref_index = [], [], []
         total_processing = 0.0
         total_audio = 0.0
         timed = True
         for path, rec in group:
             session_id = rec["id"]
-            n, ref_text = references[session_id]
             if session_id not in ref_cache:
+                n, ref_text = references[session_id]
                 ref_cache[session_id] = (
-                    bleu.reference_stats(ref_text),
+                    len(ref_tokens),
                     len(_tokenize_line(args.references, n, ref_text)),
                 )
-            stats, ref_len = ref_cache[session_id]
+                ref_tokens.append(bleu.tokenize_13a(ref_text, memo))
+            ref_at, ref_len = ref_cache[session_id]
             speech = rec["mode"] == "speech"
             try:
                 delay_seqs.append(metrics.DelaySequence(
@@ -395,9 +406,8 @@ def cmd_evaluate(args) -> int:
                 ))
             except (TypeError, ValueError) as exc:
                 raise SimtransError(f"{path}: {exc}") from exc
-            hyps.append(" ".join(rec["hypothesis"]))
-            refs.append(ref_text)
-            ref_stats.append(stats)
+            hyp_tokens.append(bleu.tokenize_13a(" ".join(rec["hypothesis"]), memo))
+            ref_index.append(ref_at)
             if rec.get("processing_ms") is None or not speech:
                 timed = False
             else:
@@ -405,7 +415,7 @@ def cmd_evaluate(args) -> int:
                 total_audio += rec["source_total"]
         unit = "ms" if group[0][1]["mode"] == "speech" else "words"
         rtf = metrics.real_time_factor(total_processing, total_audio) if timed else None
-        scores = metrics.score_sessions(delay_seqs, hyps, refs, ref_stats)
+        scores = metrics.score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index)
         reports[k] = metrics.aggregate_report(scores, unit=unit, rtf=rtf)
         if args.bootstrap:
             bootstrap[k] = metrics.bootstrap_reports(
@@ -498,12 +508,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     # every table option is a string flag; _resolve_options casts and bounds it
-    for name, (cast, default, low, commands) in OPTIONS.items():
+    for name, (cast, default, bounds, commands) in OPTIONS.items():
         for command in commands:
             sub.choices[command].add_argument(
                 "--" + name.replace("_", "-"),
                 metavar="{%s}" % ",".join(cast) if isinstance(cast, tuple) else None,
-                help=f"default {default!r}" + (f", {low}" if low else ""),
+                help=f"default {default!r}" + (f", {bounds}" if bounds else ""),
             )
     return parser
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bleu import STATS_WIDTH, bleu_from_stats, reference_stats, sentence_stats
+from .bleu import batch_stats, bleu_from_stats
 from .bleu import corpus_bleu  # noqa: F401  (stays importable from this module)
 from .errors import DegenerateInput, InputMismatch
 
@@ -181,26 +181,21 @@ class SessionScores:
         return len(self.scored)
 
 
-def score_sessions(delay_seqs, hypotheses, references, ref_stats=None) -> SessionScores:
-    """Tokenize, count and time every session once.
+def score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index) -> SessionScores:
+    """Count and time every session once.
 
-    ref_stats, when given, holds one bleu.reference_stats entry per
-    reference, so a caller scoring the same references repeatedly
-    tokenizes each of them only once.
+    Session i's hypothesis is the 13a token list hyp_tokens[i] and its
+    reference ref_tokens[ref_index[i]], so a caller scoring the same
+    references in several groups tokenizes each of them only once.
     """
-    if not (len(delay_seqs) == len(hypotheses) == len(references)):
-        raise InputMismatch("delay/hypothesis/reference counts differ")
-    if ref_stats is None:
-        ref_stats = [reference_stats(ref) for ref in references]
-    elif len(ref_stats) != len(references):
-        raise InputMismatch("reference statistics and references differ in count")
+    if len(delay_seqs) != len(hyp_tokens):
+        raise InputMismatch("delay and hypothesis counts differ")
+    bleu_stats = batch_stats(hyp_tokens, ref_tokens, ref_index)
     n = len(delay_seqs)
-    bleu_stats = np.zeros((n, STATS_WIDTH), dtype=np.int64)
     latency = np.full((4, n), np.nan)
     scored = np.zeros(n, dtype=bool)
     truncated = np.zeros(n, dtype=bool)
-    for i, (d, hyp, ref) in enumerate(zip(delay_seqs, hypotheses, ref_stats)):
-        bleu_stats[i] = sentence_stats(hyp, ref)
+    for i, d in enumerate(delay_seqs):
         if d.hyp_len >= 1 and d.g:
             scored[i] = True
             truncated[i] = is_truncated(d)

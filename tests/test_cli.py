@@ -171,13 +171,30 @@ def test_simulate_keeps_the_traces_it_finished(tmp_path, capsys):
     test_set = tmp_path / "test.jsonl"
     write_jsonl(test_set, [{"source": f"w{i}", "target": f"W{i}"} for i in range(3)])
     script_file = tmp_path / "script.json"
-    script_file.write_text(json.dumps([["A", "<EOS>"], ["B", "<EOS>"]]))  # none for sentence 2
+    script_file.write_text(json.dumps([["A", "<EOS>"], ["B", "<EOS>"], ["C", "<EOS>"]]))
+    out_dir = tmp_path / "traces"
+    # a directory where the second session writes its temporary trace aborts the run there
+    blocker = out_dir / "0001_k1.json.tmp"
+    blocker.mkdir(parents=True)
+    assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
+                 "--backend", "scripted", "--script-file", str(script_file),
+                 "--k", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {blocker}: Is a directory\n"
+    assert (out_dir / "0000_k1.json").exists()
+
+
+def test_simulate_checks_the_script_file_before_any_session(tmp_path, capsys):
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": f"w{i}", "target": f"W{i}"} for i in range(2)])
+    script_file = tmp_path / "script.json"
+    script_file.write_text(json.dumps([["A", "<EOS>"]]))  # none for sentence 1
     out_dir = tmp_path / "traces"
     assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
                  "--backend", "scripted", "--script-file", str(script_file),
                  "--k", "1"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: no script for sentence 2\n"
-    assert (out_dir / "0000_k1.json").exists()
+    assert capsys.readouterr().err == (
+        f"error: {script_file}: 1 script lists for 2 input sentences\n")
+    assert not list(out_dir.glob("*.json"))
 
 
 def test_simulate_http_unreachable(tmp_path, capsys):
@@ -283,6 +300,7 @@ def run_cli(*argv):
     ("k", ",", "simulate"),
     ("top-p", "nan", "simulate-http"),
     ("top-p", "-5", "simulate-http"),
+    ("top-p", "5", "simulate-http"),
     ("timeout-ms", "inf", "simulate-http"),
     ("retries", "-1", "simulate-http"),
     ("timeout-ms", "0", "simulate-http"),
@@ -375,6 +393,10 @@ def test_mistyped_number_in_config_is_one_error_line(tmp_path, config, flag, com
                  id="float-nan"),
     pytest.param("top_p", "-5", "--top-p must be > 0, got -5.0", "flag config env",
                  id="top-p-bound"),
+    pytest.param("top_p", "5", "--top-p must be <= 1, got 5.0", "flag", id="top-p-flag-above"),
+    pytest.param("top_p", 1.5, "--top-p must be <= 1, got 1.5", "config",
+                 id="top-p-config-above"),
+    pytest.param("top_p", "2", "--top-p must be <= 1, got 2.0", "env", id="top-p-env-above"),
     pytest.param("timeout_ms", "inf", "--timeout-ms: invalid value 'inf'", "flag config env",
                  id="float-inf"),
     pytest.param("mode", "video", "--mode: invalid value 'video'", "flag config env",
@@ -401,6 +423,12 @@ def test_bad_value_is_one_error_line_from_every_source(tmp_path, monkeypatch, ca
         assert code == EXIT_USAGE, source
         assert capsys.readouterr().err == f"error: {expected}\n", source
     assert not (tmp_path / "o").exists()
+
+
+def test_top_p_of_one_is_accepted(tmp_path):
+    code, _, _ = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}],
+                                extra=["--top-p", "1"])
+    assert code == EXIT_OK
 
 
 # every flag each subcommand takes; perfbench, the README and CI pass these

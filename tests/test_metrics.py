@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from simtrans.backends import ScriptedBackend
-from simtrans.bleu import corpus_bleu, reference_stats
+from simtrans.bleu import corpus_bleu, tokenize_13a
 from simtrans.engine import run_session
 from simtrans.errors import DegenerateInput, InputMismatch
 from simtrans.metrics import (
@@ -26,6 +26,12 @@ from simtrans.units import Signal
 
 def seq(g, src, ref=None):
     return DelaySequence(g=g, source_len=src, ref_len=ref)
+
+
+def scores_of(seqs, hyps, refs):
+    """score_sessions over strings, with one reference per session."""
+    return score_sessions(seqs, [tokenize_13a(h) for h in hyps],
+                          [tokenize_13a(r) for r in refs], range(len(refs)))
 
 
 def test_average_proportion_values():
@@ -211,12 +217,12 @@ def test_aggregate_report_and_bootstrap():
     seqs = [seq([1, 2, 3], 3, ref=3), seq([2, 3, 3], 3, ref=3)]
     hyps = ["a b c d e", "d e f g h"]
     refs = ["a b c d e", "d e f g h"]
-    report = aggregate_report(score_sessions(seqs, hyps, refs))
+    report = aggregate_report(scores_of(seqs, hyps, refs))
     assert report.bleu == pytest.approx(100.0, abs=1e-9)
     assert report.al == pytest.approx(1.5, abs=1e-9)
     assert report.session_count == 2
 
-    boot = bootstrap_reports(score_sessions(seqs, hyps, refs), 10, make_rng(3))
+    boot = bootstrap_reports(scores_of(seqs, hyps, refs), 10, make_rng(3))
     assert boot["resamples"] == 10
     assert boot["al"]["mean"] == pytest.approx(1.5, abs=0.6)
     assert boot["bleu"]["std"] == pytest.approx(0.0, abs=1e-9)
@@ -226,9 +232,9 @@ def test_aggregate_order_independent(rng):
     seqs = [_random_monotone_seq(rng) for _ in range(12)]
     hyps = [f"word{i} extra{i} more{i} tail{i} end{i}" for i in range(12)]
     refs = [f"word{i} extra{i} more{i} tail{i} fin{i}" for i in range(12)]
-    base = aggregate_report(score_sessions(seqs, hyps, refs)).to_record()
+    base = aggregate_report(scores_of(seqs, hyps, refs)).to_record()
     order = list(rng.permutation(12))
-    shuffled = aggregate_report(score_sessions(
+    shuffled = aggregate_report(scores_of(
         [seqs[i] for i in order], [hyps[i] for i in order], [refs[i] for i in order]
     )).to_record()
     for key in ("bleu", "al", "laal", "ap", "dal"):
@@ -237,7 +243,7 @@ def test_aggregate_order_independent(rng):
 
 def test_aggregate_skips_empty_hypotheses():
     seqs = [seq([1, 2], 2, ref=2), DelaySequence(g=[], source_len=2, ref_len=2)]
-    report = aggregate_report(score_sessions(seqs, ["a b", ""], ["a b", "c d"]))
+    report = aggregate_report(scores_of(seqs, ["a b", ""], ["a b", "c d"]))
     assert report.skipped_sessions == 1
     assert report.session_count == 2
 
@@ -283,13 +289,17 @@ def test_scores_match_string_oracles_fuzz():
         pool = [" ".join(str(w) for w in rng.choice(vocab, size=int(rng.integers(1, 12))))
                 for _ in range(int(rng.integers(1, 8)))]
         refs = [str(rng.choice(pool)) for _ in range(int(rng.integers(1, 11)))]
-        ref_stats = [reference_stats(r) for r in refs]
+        # one chunk memo and one token list per distinct reference for the run
+        memo = {}
+        ref_tokens = [tokenize_13a(r, memo) for r in pool]
+        ref_index = [pool.index(r) for r in refs]
         unit, rtf = ("ms", float(rng.random())) if case % 2 else ("words", None)
         n_resamples = (1, 2, 17)[case % 3]
-        # two k groups over the same references share one statistics cache
+        # two k groups over the same references share one token cache
         for _group in range(2):
             seqs, hyps = zip(*(_fuzz_session(rng, vocab, r) for r in refs))
-            scores = score_sessions(seqs, hyps, refs, ref_stats)
+            hyp_tokens = [tokenize_13a(h, memo) for h in hyps]
+            scores = score_sessions(seqs, hyp_tokens, ref_tokens, ref_index)
             assert _outcome(aggregate_report, scores, unit=unit, rtf=rtf) == _outcome(
                 oracles.list_aggregate_report, seqs, hyps, refs, unit=unit, rtf=rtf
             ), case
@@ -305,6 +315,8 @@ def test_scores_match_string_oracles_fuzz():
 def test_score_sessions_rejects_mismatched_counts():
     seqs = [seq([1, 2], 2, ref=2)]
     with pytest.raises(InputMismatch):
-        score_sessions(seqs, ["a b", "c"], ["a b"])
+        score_sessions(seqs, [["a", "b"], ["c"]], [["a", "b"]], [0, 0])
     with pytest.raises(InputMismatch):
-        score_sessions(seqs, ["a b"], ["a b"], ref_stats=[])
+        score_sessions(seqs, [["a", "b"]], [], [0])
+    with pytest.raises(InputMismatch):
+        score_sessions(seqs, [["a", "b"]], [["a", "b"]], [])
