@@ -55,6 +55,7 @@ class TranslationTable:
     _src_index: dict = field(repr=False, default_factory=dict)
     _tgt_index: dict = field(repr=False, default_factory=dict)
     _slot_keys: np.ndarray = field(repr=False, init=False, compare=False, default=None)
+    _trained: "_TrainedLinks" = field(repr=False, compare=False, default=None)
 
     def prob(self, source_word, target_word) -> float:
         """p(target_word | source_word); source_word=None selects NULL."""
@@ -103,6 +104,21 @@ class _Layout(NamedTuple):
     col_lens: np.ndarray
 
 
+class _TrainedLinks(NamedTuple):
+    """A table's own argmax over the corpus it was trained on (see align_corpus).
+
+    Only the per-group result, the direction and the pair lengths on the
+    table's row and column sides are kept, not the layout: its event arrays
+    are the bulk of training memory.
+    """
+
+    corpus: object  # the very object passed to train_table
+    direction: str
+    best: np.ndarray  # segment_argmax of every group under the final table
+    row_lens: np.ndarray
+    col_lens: np.ndarray
+
+
 def _layout(pairs, row_id, col_id) -> _Layout:
     row_ids, col_ids, row_lens, col_lens = [], [], [], []
     for row_words, col_words in pairs:
@@ -131,6 +147,11 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     needed for intersection symmetrization. The per-iteration corpus
     log-likelihood (under the table entering that iteration) is recorded and
     is non-decreasing.
+
+    The table also keeps the argmax of every target position of its own
+    corpus under the final probabilities, taken over the layout EM already
+    built, and a reference to ``corpus``: align_corpus reads it when asked
+    to link that same object.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -166,6 +187,7 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     for _ in range(iterations):
         probs, ll = _kernels.em_sweep(probs, event_slot, layout.group_ptr, row_ptr, ll_const)
         history.append(ll)
+    best = _kernels.segment_argmax(probs[event_slot], layout.group_ptr)
 
     return TranslationTable(
         source_vocab=list(src_index),
@@ -177,17 +199,30 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
         log_likelihood_history=history,
         _src_index=src_index,
         _tgt_index=tgt_index,
+        _trained=_TrainedLinks(corpus, direction, best, layout.row_lens, layout.col_lens),
     )
 
 
-def _best_rows(pairs, table: TranslationTable):
-    """Argmax row position of every (pair, column position), or -1; and the layout."""
+def _best_rows(corpus, pairs, table: TranslationTable, direction, row_lens, col_lens):
+    """Argmax row position of every (pair, column position) in the table's
+    direction, or -1; row_lens and col_lens are the pair lengths on its sides.
+
+    The argmax EM kept is returned as it is when corpus is the object the
+    table was trained on, in this direction, with the same pair lengths.
+    """
+    trained = table._trained
+    if (trained is not None and trained.corpus is corpus and trained.direction == direction
+            and np.array_equal(trained.row_lens, row_lens)
+            and np.array_equal(trained.col_lens, col_lens)):
+        return trained.best
+    if direction == "reverse":
+        pairs = [(t, s) for s, t in pairs]
     layout = _layout(
         pairs,
         lambda w: table._src_index.get(w, -1),
         lambda w: table._tgt_index.get(w, -1),
     )
-    return _kernels.segment_argmax(table._weights(layout), layout.group_ptr), layout
+    return _kernels.segment_argmax(table._weights(layout), layout.group_ptr)
 
 
 def align_corpus(corpus, forward: TranslationTable, reverse: TranslationTable) -> list:
@@ -197,13 +232,25 @@ def align_corpus(corpus, forward: TranslationTable, reverse: TranslationTable) -
     argmax links. Ties go to the lowest position, and NULL must strictly
     beat every position to absorb a word. A word a table never saw has
     probability 0 there, so it gets no link.
+
+    Identity rule: when ``corpus`` is the very object a table was trained on
+    (``forward`` with direction "forward", ``reverse`` with "reverse"), that
+    direction's argmax is the one train_table took over its own layout, and
+    no layout is rebuilt or table slot searched. So the corpus must not be
+    changed in place between training and linking. A changed pair length is
+    caught and takes the general path; a word replaced at the same length
+    is not caught, and the links are those of the old words. Any other
+    corpus, a copy or held-out pairs or align_pair's single pair, takes the
+    general path: a layout over the table's vocabulary, each event's
+    probability found by slot search, then the same argmax.
     """
     pairs = list(corpus)
+    src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
+    tgt_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
     # fwd[g]: source position for target position g; rev[g]: target position for source g
-    fwd, layout = _best_rows(pairs, forward)
-    rev, _ = _best_rows([(t, s) for s, t in pairs], reverse)
+    fwd = _best_rows(corpus, pairs, forward, "forward", src_lens, tgt_lens)
+    rev = _best_rows(corpus, pairs, reverse, "reverse", tgt_lens, src_lens)
     # forward link (i, j) survives when the reverse argmax of source i is j
-    src_lens, tgt_lens = layout.row_lens, layout.col_lens
     pair = np.repeat(np.arange(len(pairs)), tgt_lens)
     j = np.arange(fwd.size) - np.repeat(np.cumsum(tgt_lens) - tgt_lens, tgt_lens)
     rev_at = np.where(fwd >= 0, (np.cumsum(src_lens) - src_lens)[pair] + fwd, rev.size)

@@ -26,7 +26,7 @@ from .backends import (
     ScriptedBackend,
     load_recording,
 )
-from .errors import SessionError, SimtransError
+from .errors import EmptyCorpus, SessionError, SimtransError
 from .prompt import DEFAULT_TARGET_LANGUAGE
 from .rng import make_rng
 from .tokenizer import tokenize
@@ -177,8 +177,12 @@ def cmd_align(args) -> int:
     if args.alignments:
         link_sets = aligner.import_alignments(args.alignments, tokenized)
     else:
-        forward = aligner.train_table(tokenized, iterations=args.iterations)
-        reverse = aligner.train_table(tokenized, iterations=args.iterations, direction="reverse")
+        try:
+            forward = aligner.train_table(tokenized, iterations=args.iterations)
+            reverse = aligner.train_table(tokenized, iterations=args.iterations, direction="reverse")
+        except EmptyCorpus as exc:
+            raise SimtransError(f"{args.input}: {exc}") from exc
+        # the very list both tables were trained on: linking reads EM's own argmax
         link_sets = aligner.align_corpus(tokenized, forward, reverse)
     pairs, stats = causal.build_corpus(tokenized, link_sets)
 
@@ -245,8 +249,6 @@ def _build_shared_backend(args):
 
 
 def cmd_simulate(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-
     if args.mode == "text":
         sources = [_tokenize_line(args.input, n, src) for n, src, _ in _read_pair_file(args.input)]
         make_stream = lambda idx: streams.TextStream(sources[idx])
@@ -264,9 +266,12 @@ def cmd_simulate(args) -> int:
         raise SimtransError(
             f"{args.script_file}: {len(shared)} script lists for {len(sources)} input sentences"
         )
+    if args.record and args.backend == "replay":
+        raise SimtransError("--record cannot wrap the replay backend")
+    # only a run whose every input was accepted leaves an output directory,
+    # and only one that has it truncates an earlier recording
+    os.makedirs(args.out_dir, exist_ok=True)
     if args.record:
-        if args.backend == "replay":
-            raise SimtransError("--record cannot wrap the replay backend")
         args.workers = 1  # recording appends sequentially
         open(args.record, "w", encoding="utf-8").close()
 

@@ -3,6 +3,7 @@ import pytest
 
 from simtrans import _kernels
 from simtrans.aligner import (
+    TranslationTable,
     align_corpus,
     align_pair,
     import_alignments,
@@ -152,11 +153,70 @@ def test_align_corpus_matches_cell_oracle():
         corpus = [(sentence("s"), sentence("t")) for _ in range(int(rng.integers(1, 9)))]
         fwd = train_table(corpus, iterations=iterations)
         rev = train_table(corpus, iterations=iterations, direction="reverse")
-        # one extra pair drawn from a wider vocabulary brings unseen words
-        pairs = corpus + [(sentence("s", vocab + 3), sentence("t", vocab + 3))]
-        for (src, tgt), got in zip(pairs, align_corpus(pairs, fwd, rev)):
-            assert got.links == cell_links(src, tgt, fwd, rev), (n, src, tgt)
-            assert (got.source_len, got.target_len) == (len(src), len(tgt))
+        # the training corpus itself reads EM's own argmax; one extra pair
+        # drawn from a wider vocabulary brings unseen words to the slot search
+        extended = corpus + [(sentence("s", vocab + 3), sentence("t", vocab + 3))]
+        for pairs in (corpus, extended):
+            for (src, tgt), got in zip(pairs, align_corpus(pairs, fwd, rev)):
+                assert got.links == cell_links(src, tgt, fwd, rev), (n, src, tgt)
+                assert (got.source_len, got.target_len) == (len(src), len(tgt))
+
+
+def _noisy_corpus(seed, n_pairs):
+    """Pairs whose targets translate most source words, reordered a little,
+    with some words dropped and some inserted."""
+    rng = make_rng(seed)
+    corpus = []
+    for _ in range(n_pairs):
+        src = [f"s{int(rng.integers(0, 120))}" for _ in range(int(rng.integers(0, 14)))]
+        tgt = [f"t{w[1:]}" for w in src if rng.random() > 0.1]
+        for _ in range(int(rng.integers(0, 3))):
+            tgt.insert(int(rng.integers(0, len(tgt) + 1)), f"x{int(rng.integers(0, 8))}")
+        if len(tgt) > 1 and rng.random() < 0.5:
+            a = int(rng.integers(0, len(tgt) - 1))
+            tgt[a], tgt[a + 1] = tgt[a + 1], tgt[a]
+        corpus.append((src, tgt))
+    return corpus
+
+
+def _links(link_sets):
+    return [(ls.links, ls.source_len, ls.target_len) for ls in link_sets]
+
+
+def test_training_corpus_links_equal_the_slot_search(monkeypatch):
+    corpus = _noisy_corpus(31, 300)
+    fwd = train_table(corpus, iterations=8)
+    rev = train_table(corpus, iterations=8, direction="reverse")
+    searched = _links(align_corpus(list(corpus), fwd, rev))
+    assert sum(len(links) for links, _, _ in searched) > 1000
+
+    def no_search(self, layout):
+        raise AssertionError("the training corpus searched table slots")
+
+    monkeypatch.setattr(TranslationTable, "_weights", no_search)
+    assert _links(align_corpus(corpus, fwd, rev)) == searched
+
+
+def test_training_corpus_argmax_is_not_reused_out_of_its_place():
+    # every pair has equal sides, so only identity and direction tell the
+    # training corpus from the other corpora linked here
+    corpus = [(src, [f"t{w[1:]}" for w in src]) for src, _ in _noisy_corpus(32, 40)]
+    fwd = train_table(corpus, iterations=5)
+    rev = train_table(corpus, iterations=5, direction="reverse")
+
+    def assert_cell_links(pairs, forward, reverse):
+        for (src, tgt), ls in zip(pairs, align_corpus(pairs, forward, reverse)):
+            assert ls.links == cell_links(src, tgt, forward, reverse), (src, tgt)
+
+    # other words at the same lengths, and the tables passed the wrong way round
+    assert_cell_links([(tgt, src) for src, tgt in corpus], fwd, rev)
+    assert_cell_links(corpus, rev, fwd)
+    # a pair that changed length on either side since training is linked
+    # afresh: an unseen first word moves every link of its side by one
+    for side in (0, 1):
+        pair = next(p for p in corpus if len(p[side]) > 2 and p[side][0] != "new")
+        pair[side].insert(0, "new")
+        assert_cell_links(corpus, fwd, rev)
 
 
 def test_pharaoh_parse():

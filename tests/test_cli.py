@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import simtrans
+from simtrans import aligner
 from simtrans.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY, main
 from simtrans.prompt import build_prompt, interpreter_system_message
 from simtrans.streams import TimedTranscript, write_transcript
@@ -56,6 +57,28 @@ def test_align_missing_file(tmp_path, capsys):
     code = main(["align", "--input", str(missing), "--output", str(tmp_path / "o")])
     assert code == EXIT_USAGE
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_align_empty_input_names_the_file(tmp_path, capsys, text):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text(text)
+    out = tmp_path / "causal.jsonl"
+    assert main(["align", "--input", str(corpus), "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: alignment training needs at least one sentence pair\n")
+    assert not out.exists()
+
+
+def test_align_links_the_training_corpus_without_slot_search(tmp_path, toy_corpus,
+                                                             monkeypatch):
+    def no_search(self, layout):
+        raise AssertionError("align searched table slots")
+
+    monkeypatch.setattr(aligner.TranslationTable, "_weights", no_search)
+    out = tmp_path / "causal.jsonl"
+    assert main(["align", "--input", str(toy_corpus), "--output", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "toy_align_causal.jsonl").read_bytes()
 
 
 def test_align_with_imported_alignments(tmp_path, capsys):
@@ -194,7 +217,34 @@ def test_simulate_checks_the_script_file_before_any_session(tmp_path, capsys):
                  "--k", "1"]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"error: {script_file}: 1 script lists for 2 input sentences\n")
-    assert not list(out_dir.glob("*.json"))
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("backend, make_args, message", [
+    ("dict", lambda d: ["--dict-file", d / "missing.json"], "missing.json: No such file"),
+    ("replay", lambda d: ["--recording", d / "empty.jsonl", "--record", d / "rec.jsonl"],
+     "--record cannot wrap the replay backend"),
+])
+def test_refused_simulate_leaves_no_out_dir(tmp_path, capsys, backend, make_args, message):
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": f"w{i}", "target": f"W{i}"} for i in range(2)])
+    (tmp_path / "empty.jsonl").write_text("")
+    out_dir = tmp_path / "traces"
+    assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
+                 "--backend", backend, "--k", "1", *map(str, make_args(tmp_path))]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_simulate_without_out_dir_keeps_the_earlier_recording(tmp_path, capsys):
+    sentences = [{"source": "a b", "target": "A B"}]
+    recording = tmp_path / "rec.jsonl"
+    recording.write_text("earlier\n")
+    (tmp_path / "traces").write_text("")  # a file where the directory should go
+    code, _, _ = _simulate_dict(tmp_path, sentences, k="1", extra=["--record", str(recording)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {tmp_path / 'traces'}: File exists\n"
+    assert recording.read_text() == "earlier\n"
 
 
 def test_simulate_http_unreachable(tmp_path, capsys):
