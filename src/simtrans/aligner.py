@@ -105,18 +105,14 @@ class _Layout(NamedTuple):
 
 
 class _TrainedLinks(NamedTuple):
-    """A table's own argmax over the corpus it was trained on (see align_corpus).
+    """A table's own argmax over the pairs it was trained on (see _best_rows).
 
-    Only the per-group result, the direction and the pair lengths on the
-    table's row and column sides are kept, not the layout: its event arrays
-    are the bulk of training memory.
+    Only the per-group result and the pairs' words are kept, not the layout:
+    its event arrays are the bulk of training memory.
     """
 
-    corpus: object  # the very object passed to train_table
-    direction: str
+    pairs: list  # (row words, column words) tuples in the table's direction
     best: np.ndarray  # segment_argmax of every group under the final table
-    row_lens: np.ndarray
-    col_lens: np.ndarray
 
 
 def _layout(pairs, row_id, col_id) -> _Layout:
@@ -148,14 +144,13 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     log-likelihood (under the table entering that iteration) is recorded and
     is non-decreasing.
 
-    The table also keeps the argmax of every target position of its own
-    corpus under the final probabilities, taken over the layout EM already
-    built, and a reference to ``corpus``: align_corpus reads it when asked
-    to link that same object.
+    The table also keeps the words of its pairs and the argmax of every
+    column position under the final probabilities, taken over the layout EM
+    already built: align_corpus reads it for pairs equal to those.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    pairs = list(corpus)
+    pairs = [(tuple(s), tuple(t)) for s, t in corpus]
     if direction == "reverse":
         pairs = [(t, s) for s, t in pairs]
     elif direction != "forward":
@@ -199,24 +194,20 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
         log_likelihood_history=history,
         _src_index=src_index,
         _tgt_index=tgt_index,
-        _trained=_TrainedLinks(corpus, direction, best, layout.row_lens, layout.col_lens),
+        _trained=_TrainedLinks(pairs, best),
     )
 
 
-def _best_rows(corpus, pairs, table: TranslationTable, direction, row_lens, col_lens):
-    """Argmax row position of every (pair, column position) in the table's
-    direction, or -1; row_lens and col_lens are the pair lengths on its sides.
+def _best_rows(pairs, table: TranslationTable):
+    """Argmax row position of every (pair, column position), or -1; pairs
+    are (row words, column words) tuples in the table's direction.
 
-    The argmax EM kept is returned as it is when corpus is the object the
-    table was trained on, in this direction, with the same pair lengths.
+    Pairs equal to those the table was trained on lay out to the same events
+    under the same table, so the argmax EM kept is returned as it is.
     """
     trained = table._trained
-    if (trained is not None and trained.corpus is corpus and trained.direction == direction
-            and np.array_equal(trained.row_lens, row_lens)
-            and np.array_equal(trained.col_lens, col_lens)):
+    if trained is not None and trained.pairs == pairs:
         return trained.best
-    if direction == "reverse":
-        pairs = [(t, s) for s, t in pairs]
     layout = _layout(
         pairs,
         lambda w: table._src_index.get(w, -1),
@@ -233,23 +224,19 @@ def align_corpus(corpus, forward: TranslationTable, reverse: TranslationTable) -
     beat every position to absorb a word. A word a table never saw has
     probability 0 there, so it gets no link.
 
-    Identity rule: when ``corpus`` is the very object a table was trained on
-    (``forward`` with direction "forward", ``reverse`` with "reverse"), that
-    direction's argmax is the one train_table took over its own layout, and
-    no layout is rebuilt or table slot searched. So the corpus must not be
-    changed in place between training and linking. A changed pair length is
-    caught and takes the general path; a word replaced at the same length
-    is not caught, and the links are those of the old words. Any other
-    corpus, a copy or held-out pairs or align_pair's single pair, takes the
-    general path: a layout over the table's vocabulary, each event's
-    probability found by slot search, then the same argmax.
+    Pairs equal to those both tables were trained on, such as the training
+    corpus or a copy of it, read the argmax EM took over its own layout, and
+    no table slot is searched. Any other pairs, held-out ones or
+    align_pair's single pair, take the general path: a layout over the
+    table's vocabulary, each event's probability found by slot search, then
+    the same argmax.
     """
-    pairs = list(corpus)
+    pairs = [(tuple(s), tuple(t)) for s, t in corpus]
     src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
     tgt_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
     # fwd[g]: source position for target position g; rev[g]: target position for source g
-    fwd = _best_rows(corpus, pairs, forward, "forward", src_lens, tgt_lens)
-    rev = _best_rows(corpus, pairs, reverse, "reverse", tgt_lens, src_lens)
+    fwd = _best_rows(pairs, forward)
+    rev = _best_rows([(t, s) for s, t in pairs], reverse)
     # forward link (i, j) survives when the reverse argmax of source i is j
     pair = np.repeat(np.arange(len(pairs)), tgt_lens)
     j = np.arange(fwd.size) - np.repeat(np.cumsum(tgt_lens) - tgt_lens, tgt_lens)

@@ -182,7 +182,7 @@ def cmd_align(args) -> int:
             reverse = aligner.train_table(tokenized, iterations=args.iterations, direction="reverse")
         except EmptyCorpus as exc:
             raise SimtransError(f"{args.input}: {exc}") from exc
-        # the very list both tables were trained on: linking reads EM's own argmax
+        # the pairs both tables were trained on: linking reads EM's own argmax
         link_sets = aligner.align_corpus(tokenized, forward, reverse)
     pairs, stats = causal.build_corpus(tokenized, link_sets)
 
@@ -373,11 +373,21 @@ def cmd_evaluate(args) -> int:
     pairs = _read_pair_file(args.references)
     references = {f"{idx:04d}": (n, tgt) for idx, (n, _, tgt) in enumerate(pairs)}
 
+    # by_k[k][id] = (path, record); one mode per k, one trace per (id, k)
     by_k = {}
     for path, rec in traces:
-        if rec["id"] not in references:
-            raise SimtransError(f"{path}: no reference for trace id {rec['id']!r}")
-        by_k.setdefault(rec["k"], []).append((path, rec))
+        session_id, k = rec["id"], rec["k"]
+        if session_id not in references:
+            raise SimtransError(f"{path}: no reference for trace id {session_id!r}")
+        group = by_k.setdefault(k, {})
+        if session_id in group:
+            raise SimtransError(f"{path}: trace id {session_id!r} at k={k} is also in "
+                                f"{group[session_id][0]}")
+        first_path, first = next(iter(group.values()), (path, rec))
+        if rec["mode"] != first["mode"]:
+            raise SimtransError(f"{path}: a {rec['mode']} trace among the {first['mode']} "
+                                f"traces at k={k}, such as {first_path}")
+        group[session_id] = (path, rec)
 
     # each reference is tokenized once, however many k groups score it, and
     # each distinct 13a chunk once per run (memo lives for this call only)
@@ -391,8 +401,7 @@ def cmd_evaluate(args) -> int:
         total_processing = 0.0
         total_audio = 0.0
         timed = True
-        for path, rec in group:
-            session_id = rec["id"]
+        for session_id, (path, rec) in group.items():
             if session_id not in ref_cache:
                 n, ref_text = references[session_id]
                 ref_cache[session_id] = (
@@ -418,7 +427,7 @@ def cmd_evaluate(args) -> int:
             else:
                 total_processing += rec["processing_ms"]
                 total_audio += rec["source_total"]
-        unit = "ms" if group[0][1]["mode"] == "speech" else "words"
+        unit = "ms" if speech else "words"  # every trace of a group has one mode
         rtf = metrics.real_time_factor(total_processing, total_audio) if timed else None
         scores = metrics.score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index)
         reports[k] = metrics.aggregate_report(scores, unit=unit, rtf=rtf)

@@ -98,7 +98,6 @@ def write_transcript(transcript: TimedTranscript, path) -> None:
 @dataclass
 class AsrSimConfig:
     window_ms: float = 200.0
-    drop_last_word: bool = True
 
     def __post_init__(self):
         if self.window_ms <= 0:
@@ -139,7 +138,7 @@ class AsrSimStream(SourceStream):
             else:
                 while visible < n and words[visible].end_ms <= tick:
                     visible += 1
-                exposed = visible - 1 if self.cfg.drop_last_word else visible
+                exposed = visible - 1
             while emitted < exposed:
                 yield words[emitted].word, tick
                 emitted += 1

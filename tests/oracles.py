@@ -131,13 +131,13 @@ def rescan_causality(record):
     return len(record["source"]) == len(record["target"])
 
 
-def asr_rescan(end_ms, total_ms, window_ms, drop_last_word=True):
+def asr_rescan(end_ms, total_ms, window_ms):
     """Exposure ticks of a timed transcript, rescanning every word per tick.
 
     Returns one tick per word: the first multiple of window_ms at which the
     word is exposed. Before total_ms, the words whose audio ended by the
-    tick are visible, and the last visible one is withheld when
-    drop_last_word is set; from total_ms on, every word is exposed.
+    tick are visible, and the last visible one is withheld; from total_ms
+    on, every word is exposed.
     """
     ticks = []
     tick = 0.0
@@ -147,7 +147,7 @@ def asr_rescan(end_ms, total_ms, window_ms, drop_last_word=True):
             exposed = len(end_ms)
         else:
             visible = sum(1 for end in end_ms if end <= tick)
-            exposed = visible - 1 if drop_last_word else visible
+            exposed = visible - 1
         while len(ticks) < exposed:
             ticks.append(tick)
     return ticks

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,8 @@ def test_training_corpus_links_equal_the_slot_search(monkeypatch):
     corpus = _noisy_corpus(31, 300)
     fwd = train_table(corpus, iterations=8)
     rev = train_table(corpus, iterations=8, direction="reverse")
-    searched = _links(align_corpus(list(corpus), fwd, rev))
+    # one pair at a time is never the training pairs, so each is searched
+    searched = _links(align_pair(src, tgt, fwd, rev) for src, tgt in corpus)
     assert sum(len(links) for links, _, _ in searched) > 1000
 
     def no_search(self, layout):
@@ -197,9 +200,23 @@ def test_training_corpus_links_equal_the_slot_search(monkeypatch):
     assert _links(align_corpus(corpus, fwd, rev)) == searched
 
 
+def test_a_copy_of_the_training_corpus_reads_the_em_argmax(monkeypatch):
+    corpus = _noisy_corpus(33, 60)
+    fwd = train_table(corpus, iterations=5)
+    rev = train_table(corpus, iterations=5, direction="reverse")
+
+    def no_search(self, layout):
+        raise AssertionError("a copy of the training corpus searched table slots")
+
+    monkeypatch.setattr(TranslationTable, "_weights", no_search)
+    copied = copy.deepcopy(corpus)
+    for (src, tgt), ls in zip(copied, align_corpus(copied, fwd, rev)):
+        assert ls.links == cell_links(src, tgt, fwd, rev), (src, tgt)
+
+
 def test_training_corpus_argmax_is_not_reused_out_of_its_place():
-    # every pair has equal sides, so only identity and direction tell the
-    # training corpus from the other corpora linked here
+    # every pair has equal sides, so only the words and the direction tell
+    # the training pairs from the other pairs linked here
     corpus = [(src, [f"t{w[1:]}" for w in src]) for src, _ in _noisy_corpus(32, 40)]
     fwd = train_table(corpus, iterations=5)
     rev = train_table(corpus, iterations=5, direction="reverse")
@@ -217,6 +234,21 @@ def test_training_corpus_argmax_is_not_reused_out_of_its_place():
         pair = next(p for p in corpus if len(p[side]) > 2 and p[side][0] != "new")
         pair[side].insert(0, "new")
         assert_cell_links(corpus, fwd, rev)
+    # so is a pair whose words were replaced in place at the same lengths
+    small = [("a b c".split(), "x y z".split()), ("a d".split(), "x w".split()),
+             ("b c".split(), "y z".split())]
+    fwd = train_table(small, iterations=5)
+    rev = train_table(small, iterations=5, direction="reverse")
+    small[0][0][0], small[0][1][0] = "unseen", "never"
+    assert_cell_links(small, fwd, rev)
+    assert align_corpus(small, fwd, rev)[0].links == {(1, 1)}
+    # over pairs with the same words on both sides, tables passed the wrong
+    # way round still see the pairs they were trained on, and EM's argmax is
+    # exact for them
+    mirrored = [(src, list(src)) for src, _ in corpus]
+    fwd = train_table(mirrored, iterations=5)
+    rev = train_table(mirrored, iterations=5, direction="reverse")
+    assert_cell_links(mirrored, rev, fwd)
 
 
 def test_pharaoh_parse():

@@ -584,6 +584,48 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
 
 
+def _evaluate_error(out_dir, test_set, capsys):
+    capsys.readouterr()
+    code = main(["evaluate", "--traces", str(out_dir), "--references", str(test_set)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and not captured.out
+    assert len(captured.err.splitlines()) == 1
+    return captured.err
+
+
+def test_evaluate_refuses_text_and_speech_traces_at_one_k(tmp_path, capsys):
+    sentences = [{"source": "a b c", "target": "A B C"}, {"source": "d e f", "target": "D E F"}]
+    code, out_dir, test_set = _simulate_dict(tmp_path, sentences)
+    assert code == EXIT_OK
+    # the k=3 trace of sentence 1 turns speech too: modes may differ across k
+    for name in ("0001_k1.json", "0001_k3.json"):
+        rec = json.loads((out_dir / name).read_text())
+        rec.update(mode="speech", delays_ms=[1000.0, 2000.0, 3000.0], source_total=3000.0)
+        del rec["delays_words"]
+        (out_dir / name).write_text(json.dumps(rec))
+    err = _evaluate_error(out_dir, test_set, capsys)
+    odd = out_dir / "0001_k1.json"
+    assert err.startswith(f"error: {odd}: a speech trace among the text traces at k=1")
+    assert str(out_dir / "0000_k1.json") in err
+    # alone at its k, a speech trace is scored in ms next to the text k group
+    (out_dir / "0001_k1.json").unlink()
+    (out_dir / "0000_k3.json").unlink()
+    assert main(["evaluate", "--traces", str(out_dir), "--references", str(test_set)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "(words)" in out.splitlines()[0] and "(ms)" in out.splitlines()[1]
+
+
+def test_evaluate_refuses_two_traces_of_one_session(tmp_path, capsys):
+    sentences = [{"source": "a b c", "target": "A B C"}, {"source": "d e f", "target": "D E F"}]
+    code, out_dir, test_set = _simulate_dict(tmp_path, sentences, k="1")
+    assert code == EXIT_OK
+    copy = out_dir / "0000_k1_copy.json"
+    copy.write_text((out_dir / "0000_k1.json").read_text())
+    err = _evaluate_error(out_dir, test_set, capsys)
+    assert err.startswith(f"error: {copy}: trace id '0000' at k=1 is also in ")
+    assert str(out_dir / "0000_k1.json") in err
+
+
 _NOT_JSON = '{"truncated": '
 _WORD_AT_100MS = {"w": "a", "end_ms": 100.0}
 _BLANK_SOURCE = json.dumps({"source": "   ", "target": "x"})

@@ -53,12 +53,6 @@ def test_asr_empty_transcript():
     assert list(AsrSimStream(empty, AsrSimConfig(window_ms=200))) == []
 
 
-def test_asr_no_drop_variant():
-    cfg = AsrSimConfig(window_ms=200, drop_last_word=False)
-    stream = AsrSimStream(transcript([150, 380, 900], 900), cfg)
-    assert list(stream) == [("w1", 200), ("w2", 400), ("w3", 1000)]
-
-
 def test_asr_fuzz_invariants(rng):
     window = 200.0
     for _ in range(200):
@@ -78,31 +72,29 @@ def test_asr_fuzz_invariants(rng):
 
 
 def test_asr_matches_rescan_oracle(rng):
-    def check(ends, total, window, drop):
+    def check(ends, total, window):
         words = [f"w{i}" for i in range(len(ends))]
-        stream = AsrSimStream(transcript(ends, total, words),
-                              AsrSimConfig(window_ms=window, drop_last_word=drop))
-        expected = list(zip(words, asr_rescan(ends, total, window, drop)))
-        assert list(stream) == expected, (ends, total, window, drop)
+        stream = AsrSimStream(transcript(ends, total, words), AsrSimConfig(window_ms=window))
+        expected = list(zip(words, asr_rescan(ends, total, window)))
+        assert list(stream) == expected, (ends, total, window)
 
-    for drop in (True, False):
-        # ends on window edges, totals on and past the last end and on a
-        # window edge, a window longer than the talk, and windows that skip
-        # several words at once
-        check([200.0], 200.0, 200.0, drop)
-        check([200.0, 400.0, 600.0], 600.0, 200.0, drop)
-        check([199.0, 200.0, 201.0], 201.0, 200.0, drop)
-        check([10.0, 20.0, 30.0], 1000.0, 200.0, drop)
-        check([10.0, 20.0, 30.0], 30.0, 5000.0, drop)
-        check([50.0, 60.0, 70.0, 900.0, 910.0], 1400.0, 200.0, drop)
-        check([0.5, 1.0, 1.5], 1.5, 0.25, drop)
-        for _ in range(300):
-            n = int(rng.integers(1, 30))
-            gaps = rng.integers(1, 500, size=n)
-            ends = [float(e) for e in gaps.cumsum()]
-            total = ends[-1] + float(rng.choice([0, 0, int(rng.integers(1, 700))]))
-            window = float(rng.choice([50, 100, 200, 333, 1000]))
-            check(ends, total, window, drop)
+    # ends on window edges, totals on and past the last end and on a window
+    # edge, a window longer than the talk, and windows that skip several
+    # words at once
+    check([200.0], 200.0, 200.0)
+    check([200.0, 400.0, 600.0], 600.0, 200.0)
+    check([199.0, 200.0, 201.0], 201.0, 200.0)
+    check([10.0, 20.0, 30.0], 1000.0, 200.0)
+    check([10.0, 20.0, 30.0], 30.0, 5000.0)
+    check([50.0, 60.0, 70.0, 900.0, 910.0], 1400.0, 200.0)
+    check([0.5, 1.0, 1.5], 1.5, 0.25)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        gaps = rng.integers(1, 500, size=n)
+        ends = [float(e) for e in gaps.cumsum()]
+        total = ends[-1] + float(rng.choice([0, 0, int(rng.integers(1, 700))]))
+        window = float(rng.choice([50, 100, 200, 333, 1000]))
+        check(ends, total, window)
 
 
 def test_transcript_validation():
