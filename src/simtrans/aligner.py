@@ -50,12 +50,20 @@ class TranslationTable:
     row_ptr: np.ndarray
     col: np.ndarray
     probs: np.ndarray
-    iterations_run: int
     log_likelihood_history: list[float]
-    _src_index: dict = field(repr=False, default_factory=dict)
-    _tgt_index: dict = field(repr=False, default_factory=dict)
-    _slot_keys: np.ndarray = field(repr=False, init=False, compare=False, default=None)
     _trained: "_TrainedLinks" = field(repr=False, compare=False, default=None)
+    # word -> id: source ids from 1 (0 is NULL), target ids from 0
+    _src_index: dict = field(repr=False, init=False, compare=False)
+    _tgt_index: dict = field(repr=False, init=False, compare=False)
+    _slot_keys: np.ndarray = field(repr=False, init=False, compare=False, default=None)
+
+    def __post_init__(self):
+        self._src_index = {w: e for e, w in enumerate(self.source_vocab, start=1)}
+        self._tgt_index = {w: f for f, w in enumerate(self.target_vocab)}
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.log_likelihood_history)
 
     def prob(self, source_word, target_word) -> float:
         """p(target_word | source_word); source_word=None selects NULL."""
@@ -190,10 +198,7 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
         row_ptr=row_ptr,
         col=col,
         probs=probs,
-        iterations_run=iterations,
         log_likelihood_history=history,
-        _src_index=src_index,
-        _tgt_index=tgt_index,
         _trained=_TrainedLinks(pairs, best),
     )
 

@@ -23,9 +23,15 @@ from .units import FILLER_TOKEN, WAIT_TOKEN
 class CausalPair:
     source_words: list[str]
     target_words: list[str]
-    wait_count: int
-    filler_count: int
     origin_links: AlignmentLinkSet
+
+    @property
+    def wait_count(self) -> int:
+        return self.target_words.count(WAIT_TOKEN)
+
+    @property
+    def filler_count(self) -> int:
+        return self.source_words.count(FILLER_TOKEN)
 
     def aligned_length(self) -> int:
         return len(self.source_words)
@@ -64,8 +70,6 @@ def causal_align(src, tgt, links: AlignmentLinkSet) -> CausalPair:
     return CausalPair(
         source_words=out_source,
         target_words=out_target,
-        wait_count=sum(1 for w in out_target if w == WAIT_TOKEN),
-        filler_count=len(out_source) - len(src),
         origin_links=links,
     )
 
@@ -107,23 +111,25 @@ def pair_to_record(pair: CausalPair) -> dict:
 
 
 def pair_from_record(record: dict, line_no: int = None, path=None) -> CausalPair:
+    """The pair a record holds; its optional waits and fillers counts must
+    equal the markers its words hold."""
     try:
         source = list(record["source"])
         target = list(record["target"])
         links = {(int(i), int(j)) for i, j in record["links"]}
-        wait_count = int(record.get("waits", target.count(WAIT_TOKEN)))
-        filler_count = int(record.get("fillers", source.count(FILLER_TOKEN)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad causal corpus record: {exc}", line_no, path) from exc
-    stripped_src = [w for w in source if w != FILLER_TOKEN]
-    stripped_tgt = [w for w in target if w != WAIT_TOKEN]
+    waits = target.count(WAIT_TOKEN)
+    fillers = source.count(FILLER_TOKEN)
+    for key, count in (("waits", waits), ("fillers", fillers)):
+        if key in record and not (type(record[key]) is int and record[key] == count):
+            raise ParseError(f"{key} is {record[key]!r} but the words hold {count}",
+                             line_no, path)
     return CausalPair(
         source_words=source,
         target_words=target,
-        wait_count=wait_count,
-        filler_count=filler_count,
         origin_links=AlignmentLinkSet(
-            links=links, source_len=len(stripped_src), target_len=len(stripped_tgt)
+            links=links, source_len=len(source) - fillers, target_len=len(target) - waits
         ),
     )
 

@@ -30,6 +30,7 @@ from .errors import EmptyCorpus, SessionError, SimtransError
 from .prompt import DEFAULT_TARGET_LANGUAGE
 from .rng import make_rng
 from .tokenizer import tokenize
+from .units import MARKERS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,11 +153,19 @@ def _read_pair_file(path):
 
 
 def _tokenize_line(path, n, text):
-    """tokenize(text), or an error naming the file and line it came from."""
+    """tokenize(text), or an error naming the file and line it came from.
+
+    A marker is no input word: causal counts and verify read every marker
+    in a corpus as one the pipeline put there.
+    """
     try:
-        return tokenize(text)
+        words = tokenize(text)
     except SimtransError as exc:
         raise SimtransError(f"{path}: line {n}: {exc}") from exc
+    if not MARKERS.isdisjoint(words):
+        marker = next(w for w in words if w in MARKERS)
+        raise SimtransError(f"{path}: line {n}: {marker} is a reserved marker, not a word")
+    return words
 
 
 def _atomic_write(path, text):
@@ -333,12 +342,17 @@ def _read_trace(path):
             raise SimtransError(f"{path}: trace record lacks {key!r}")
     rec.setdefault("mode", "text")
     hypothesis = rec["hypothesis"]
+    delays_key = "delays_ms" if rec["mode"] == "speech" else "delays_words"
+    delays = rec.get(delays_key)
     for ok, problem in (
         (isinstance(rec.get("id"), str), "id must be a string"),
         (type(rec["k"]) is int, "k must be an integer"),
         (isinstance(hypothesis, list) and all(isinstance(w, str) for w in hypothesis),
          "hypothesis must be a list of words"),
         (rec["mode"] in ("text", "speech"), "mode must be text or speech"),
+        (isinstance(delays, list) and isinstance(hypothesis, list)
+         and len(delays) == len(hypothesis),
+         f"{delays_key} must hold one delay per hypothesis word"),
         (type(rec.get("source_total")) in (int, float), "source_total must be a number"),
         (rec.get("processing_ms") is None or type(rec["processing_ms"]) in (int, float),
          "processing_ms must be a number"),
@@ -413,9 +427,8 @@ def cmd_evaluate(args) -> int:
             speech = rec["mode"] == "speech"
             try:
                 delay_seqs.append(metrics.DelaySequence(
-                    g=rec.get("delays_ms" if speech else "delays_words", []),
+                    g=rec["delays_ms" if speech else "delays_words"],
                     source_len=rec["source_total"],
-                    hyp_len=len(rec["hypothesis"]),
                     ref_len=ref_len,
                 ))
             except (TypeError, ValueError) as exc:
@@ -435,10 +448,11 @@ def cmd_evaluate(args) -> int:
             bootstrap[k] = metrics.bootstrap_reports(
                 scores, args.bootstrap, make_rng(args.seed), unit=unit, rtf=rtf
             )
-        print(f"k={k}: BLEU {reports[k].bleu:.2f}  AL {reports[k].al:.2f}  "
-              f"LAAL {reports[k].laal:.2f}  AP {reports[k].ap:.3f}  "
-              f"DAL {reports[k].dal:.2f}  ({unit})")
 
+    # every group is scored before the first line is printed
+    for k, r in reports.items():
+        print(f"k={k}: BLEU {r.bleu:.2f}  AL {r.al:.2f}  LAAL {r.laal:.2f}  "
+              f"AP {r.ap:.3f}  DAL {r.dal:.2f}  ({r.unit})")
     out = {"reports": {str(k): r.to_record() for k, r in reports.items()}}
     if bootstrap:
         out["bootstrap"] = {str(k): b for k, b in bootstrap.items()}

@@ -54,10 +54,13 @@ class SessionTrace:
     mode: str             # text | speech
     source_total: float   # |x| in words, or audio ms
     events: list = field(default_factory=list)  # event records, as in the file
-    finished: bool = False
-    error: str = None
+    error: str = None     # None once the backend ended the session
     processing_ms: float = None
     session_id: str = None
+
+    @property
+    def finished(self) -> bool:
+        return self.error is None
 
     def to_record(self) -> dict:
         delays_key = "delays_ms" if self.mode == "speech" else "delays_words"
@@ -112,7 +115,7 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
     clock = 0.0
     exhausted = False
 
-    def make_trace(finished=False, error=None):
+    def make_trace(error=None):
         return SessionTrace(
             source_words=list(revealed),
             hypothesis_words=list(committed),
@@ -121,7 +124,6 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
             mode=source.mode,
             source_total=total if total is not None else clock,
             events=list(events),
-            finished=finished,
             error=error,
             processing_ms=now_ms(),
         )
@@ -155,7 +157,7 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
 
         if unit is Signal.EOS:
             record({"kind": "eos", "clock": clock})
-            return make_trace(finished=True)
+            return make_trace()
 
         if unit is Signal.WAIT:
             record({"kind": "wait", "clock": clock})

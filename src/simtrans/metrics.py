@@ -28,9 +28,10 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 
 @dataclass
 class DelaySequence:
+    """g(t) for each hypothesis word t, so |y| is len(g)."""
+
     g: list
     source_len: float
-    hyp_len: int = None
     ref_len: int = None
 
     def __post_init__(self):
@@ -40,22 +41,27 @@ class DelaySequence:
                 if isinstance(v, bool) or not isinstance(v, _REAL_TYPES):
                     raise TypeError(f"delays must be numbers, got {v!r}")
         self.g = [float(v) for v in self.g]
-        if self.hyp_len is None:
-            self.hyp_len = len(self.g)
-        prev = float("-inf")
+        if not self.g:
+            return
+        if self.source_len <= 0:
+            raise ValueError("the source length must be positive")
+        prev = 0.0
         for v in self.g:
             if v < prev:
-                raise ValueError("delays must be non-decreasing")
+                raise ValueError("delays must not be negative" if v < 0
+                                 else "delays must be non-decreasing")
             prev = v
-        if self.g and prev > self.source_len:
+        if prev > self.source_len:
             raise ValueError("a delay exceeds the source length")
+
+    @property
+    def hyp_len(self) -> int:
+        return len(self.g)
 
 
 def _check(d: DelaySequence):
-    if d.hyp_len < 1 or not d.g:
+    if not d.g:
         raise DegenerateInput("empty hypothesis")
-    if d.source_len <= 0:
-        raise DegenerateInput("empty source")
 
 
 def average_proportion(d: DelaySequence) -> float:
@@ -196,7 +202,7 @@ def score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index) -> SessionScor
     scored = np.zeros(n, dtype=bool)
     truncated = np.zeros(n, dtype=bool)
     for i, d in enumerate(delay_seqs):
-        if d.hyp_len >= 1 and d.g:
+        if d.g:
             scored[i] = True
             truncated[i] = is_truncated(d)
             latency[:, i] = (average_lagging(d), length_adaptive_al(d),

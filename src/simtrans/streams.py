@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .inputs import read_json
+from .units import MARKERS
 
 
 class SourceStream:
@@ -57,6 +58,9 @@ class TimedTranscript:
         ]
         prev = 0.0
         for w in self.words:
+            # a word is non-empty, holds no whitespace and is no marker
+            if not (isinstance(w.word, str) and w.word.split() == [w.word]) or w.word in MARKERS:
+                raise ValueError(f"bad transcript word {w.word!r}")
             if w.end_ms <= prev:
                 raise ValueError("word end times must be strictly increasing")
             prev = w.end_ms

@@ -9,6 +9,8 @@ from typing import Union
 
 WAIT_TOKEN = "<WAIT>"
 FILLER_TOKEN = "<FILLER>"
+# no input word may be a marker: counts of markers are counts of these literals
+MARKERS = frozenset((WAIT_TOKEN, FILLER_TOKEN))
 
 
 class Signal(enum.Enum):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ def test_single_pair_single_candidate():
     row = table.row("a")
     assert max(row, key=row.get) == "b"
     assert table.prob("a", "b") == pytest.approx(1.0)
+
+
+def test_table_rebuilt_from_its_public_fields_reads_the_same():
+    table = train_table(TWO_PAIR, iterations=4)
+    assert table.iterations_run == len(table.log_likelihood_history) == 4
+    public = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)
+              if f.init and not f.name.startswith("_")}
+    for rebuilt in (TranslationTable(**public), dataclasses.replace(table)):
+        assert rebuilt.iterations_run == 4
+        for e in [None, *table.source_vocab, "unseen"]:
+            assert rebuilt.row(e) == table.row(e)
+            for f in [*table.target_vocab, "unseen"]:
+                assert rebuilt.prob(e, f) == table.prob(e, f)
+    assert TranslationTable(**public).prob("the", "le") > 0.5
+    with pytest.raises(TypeError):
+        TranslationTable(**public, iterations_run=4)
 
 
 def test_log_likelihood_non_decreasing():

@@ -10,7 +10,7 @@ from simtrans.causal import (
     verify_pair,
     write_corpus,
 )
-from simtrans.errors import InputMismatch
+from simtrans.errors import InputMismatch, ParseError
 from simtrans.units import FILLER_TOKEN, WAIT_TOKEN
 
 from conftest import random_permutation_pair
@@ -135,7 +135,34 @@ def test_verify_pair_catches_corruption():
 
 
 def test_pair_from_record_rejects_garbage():
-    from simtrans.errors import ParseError
-
     with pytest.raises(ParseError):
         pair_from_record({"source": ["a"]}, line_no=3)
+
+
+def test_counts_are_the_markers_of_the_words():
+    out = causal_align(["a", "b"], ["x", "y", "z"], links_of({(1, 0)}, 2, 3))
+    assert out.target_words == [WAIT_TOKEN, "x", "y", "z"]
+    assert out.source_words == ["a", "b", FILLER_TOKEN, FILLER_TOKEN]
+    assert (out.wait_count, out.filler_count) == (1, 2)
+    out.target_words.insert(0, WAIT_TOKEN)
+    assert out.wait_count == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("waits", 2), ("waits", 0), ("waits", 1.5), ("waits", 1.0), ("waits", True),
+    ("waits", "1"), ("fillers", 3), ("fillers", 2.0),
+])
+def test_pair_from_record_refuses_a_count_its_words_disagree_with(key, value):
+    record = pair_to_record(causal_align(["a", "b"], ["x", "y", "z"], links_of({(1, 0)}, 2, 3)))
+    assert (record["waits"], record["fillers"]) == (1, 2)
+    assert pair_from_record(record).origin_links.sorted_links() == [(1, 0)]
+    record[key] = value
+    with pytest.raises(ParseError, match=rf"^c\.jsonl: line 3: {key} is "):
+        pair_from_record(record, line_no=3, path="c.jsonl")
+
+
+def test_pair_from_record_counts_words_when_no_count_is_given():
+    record = pair_to_record(causal_align(["a"], ["x", "y"], links_of({(0, 1)}, 1, 2)))
+    del record["waits"], record["fillers"]
+    pair = pair_from_record(record)
+    assert (pair.wait_count, pair.filler_count) == (0, 1)

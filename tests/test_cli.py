@@ -520,6 +520,8 @@ def test_evaluate_missing_function_words_writes_nothing(tmp_path, capsys):
     assert not any(path.exists() for path in outputs)
 
 
+_MISSING = object()  # the key is taken out of the record
+
 # case -> (fields written over a good text trace of "a b c", expected error)
 _CORRUPT_FIELDS = {
     "events-not-records": ({"events": [1]}, "events must be a list of event records"),
@@ -540,6 +542,20 @@ _CORRUPT_FIELDS = {
         {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": True},
         "processing_ms must be a number",
     ),
+    "delays-short": (
+        {"delays_words": [1, 2]}, "delays_words must hold one delay per hypothesis word",
+    ),
+    "delays-long": (
+        {"delays_words": [1, 2, 3, 3]}, "delays_words must hold one delay per hypothesis word",
+    ),
+    "delays-missing": (
+        {"delays_words": _MISSING}, "delays_words must hold one delay per hypothesis word",
+    ),
+    "speech-delays-missing": (
+        {"mode": "speech"}, "delays_ms must hold one delay per hypothesis word",
+    ),
+    "delays-negative": ({"delays_words": [-2, 1, 3]}, "delays must not be negative"),
+    "source-total-zero": ({"source_total": 0}, "the source length must be positive"),
 }
 
 
@@ -550,7 +566,7 @@ def _corrupt_trace(path, case):
             path.with_name("0000_k1_copy.json").write_text(path.read_text())
         fields, expected = _CORRUPT_FIELDS[case]
         rec.update(fields)
-        path.write_text(json.dumps(rec))
+        path.write_text(json.dumps({k: v for k, v in rec.items() if v is not _MISSING}))
         return expected
     if case == "truncated":
         path.write_text(path.read_text()[:40])
@@ -591,6 +607,45 @@ def _evaluate_error(out_dir, test_set, capsys):
     assert code == EXIT_USAGE and not captured.out
     assert len(captured.err.splitlines()) == 1
     return captured.err
+
+
+@pytest.mark.parametrize("command, side", [
+    ("align", "source"), ("align", "target"), ("simulate", "source"), ("evaluate", "target"),
+])
+@pytest.mark.parametrize("marker", ["<WAIT>", "<FILLER>"])
+def test_a_marker_word_in_an_input_line_is_refused(tmp_path, capsys, command, side, marker):
+    # left in, align wrote a corpus its own verify rejected
+    pairs = [{"source": "the dog runs", "target": "der hund läuft"},
+             {"source": "a cat sleeps", "target": "eine katze schläft"}]
+    code, out_dir, test_set = _simulate_dict(tmp_path, pairs, k="1")
+    assert code == EXIT_OK
+    first, rest = pairs[1][side].split(" ", 1)
+    marked = tmp_path / "marked.jsonl"
+    write_jsonl(marked, [pairs[0], dict(pairs[1], **{side: f"{first} {marker} {rest}"})])
+    argv = {
+        "align": ["align", "--input", marked, "--output", tmp_path / "c.jsonl"],
+        "simulate": ["simulate", "--input", marked, "--out-dir", tmp_path / "o",
+                     "--dict-file", tmp_path / "dict.json"],
+        "evaluate": ["evaluate", "--traces", out_dir, "--references", marked],
+    }[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: {marked}: line 2: {marker} is a reserved marker, not a word\n"
+    assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "o").exists()
+
+
+def test_evaluate_prints_nothing_when_a_later_k_group_fails(tmp_path, capsys):
+    sentences = [{"source": "a b c", "target": "A B C"}, {"source": "d e f", "target": "D E F"}]
+    code, out_dir, test_set = _simulate_dict(tmp_path, sentences)
+    assert code == EXIT_OK
+    bad = out_dir / "0001_k3.json"
+    rec = json.loads(bad.read_text())
+    rec["delays_words"][-1] = rec["source_total"] + 1
+    bad.write_text(json.dumps(rec))
+    err = _evaluate_error(out_dir, test_set, capsys)
+    assert err == f"error: {bad}: a delay exceeds the source length\n"
 
 
 def test_evaluate_refuses_text_and_speech_traces_at_one_k(tmp_path, capsys):
@@ -649,6 +704,9 @@ _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "al
     ("transcript", json.dumps({"words": [_WORD_AT_100MS, _WORD_AT_100MS], "total_ms": 100.0})),
     ("transcript", json.dumps({"words": [], "total_ms": "x"})),
     ("transcript", json.dumps({"words": [], "total_ms": -5})),
+    ("transcript", json.dumps({"words": [{"w": 5, "end_ms": 100.0}], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [{"w": "a b", "end_ms": 100.0}], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [{"w": "<WAIT>", "end_ms": 100.0}], "total_ms": 100.0})),
     ("causal", _NOT_JSON),
     ("alignments", "0-x"),
     ("simulate-input", _BLANK_SOURCE),
@@ -660,7 +718,8 @@ _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "al
 ], ids=["config-not-json", "config-list", "dict-not-json", "dict-list", "script-not-json",
         "script-not-lists", "recording-not-json", "recording-no-hash", "transcript-not-json",
         "transcript-no-end", "transcript-not-increasing", "transcript-total-string",
-        "transcript-total-negative", "causal-not-json", "alignments-bad-token",
+        "transcript-total-negative", "transcript-word-number", "transcript-word-spaced",
+        "transcript-word-marker", "causal-not-json", "alignments-bad-token",
         "simulate-blank-source", "align-blank-source", "dict-directory",
         "align-input-directory", "out-dir-existing-file",
         *(f"{reader}-not-utf8" for reader in _READERS)])

@@ -2,7 +2,7 @@ import pytest
 
 from simtrans import prompt as prompt_module
 from simtrans.backends import DictionaryBackend, ScriptedBackend
-from simtrans.engine import EngineConfig, run_session
+from simtrans.engine import EngineConfig, SessionTrace, run_session
 from simtrans.errors import ScriptUnderrun, SessionError, WaitOverflow
 from simtrans.prompt import build_prompt, interpreter_system_message
 from simtrans.streams import AsrSimConfig, AsrSimStream, TimedTranscript
@@ -115,8 +115,18 @@ def test_wait_overflow_after_exhaustion():
         run_session(["a", "b"], ScriptedBackend(script), k=1)
     trace = exc_info.value.partial_trace
     assert trace.error is not None
+    assert not trace.finished and trace.to_record()["finished"] is False
     # one read at start, one per revealing wait: both words were read
     assert trace.source_words == ["a", "b"]
+
+
+def test_finished_is_having_no_error():
+    trace = run_session(["a"], ScriptedBackend(["x", Signal.EOS]), k=1)
+    assert trace.finished and trace.to_record()["finished"] is True
+    trace.error = "stopped"
+    assert not trace.finished
+    with pytest.raises(TypeError):
+        SessionTrace([], [], [], k=1, mode="text", source_total=0, finished=True)
 
 
 def test_post_exhaustion_wait_suppression_flag():

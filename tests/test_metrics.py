@@ -107,7 +107,6 @@ def test_unit_rescaling_equivalence(rng):
         ms = DelaySequence(
             g=[v * scale for v in d.g],
             source_len=d.source_len * scale,
-            hyp_len=d.hyp_len,
             ref_len=d.ref_len,
         )
         assert average_proportion(ms) == pytest.approx(average_proportion(d), rel=1e-12)
@@ -145,6 +144,21 @@ def test_delay_sequence_validation():
         DelaySequence(g=[2, 1], source_len=3)
     with pytest.raises(ValueError):
         DelaySequence(g=[4], source_len=3)
+    with pytest.raises(ValueError, match="negative"):
+        DelaySequence(g=[-2], source_len=3)
+    for source_len in (0, -1):
+        with pytest.raises(ValueError, match="source length must be positive"):
+            DelaySequence(g=[0], source_len=source_len)
+    # no delay, no source: nothing to refuse, and nothing to score
+    with pytest.raises(DegenerateInput, match="empty hypothesis"):
+        average_lagging(DelaySequence(g=[], source_len=0))
+
+
+def test_hyp_len_is_the_delay_count():
+    assert seq([1, 2, 2], 5).hyp_len == 3
+    assert seq([], 5).hyp_len == 0
+    with pytest.raises(TypeError):
+        DelaySequence(g=[1, 2], source_len=3, hyp_len=3)
 
 
 def test_wait_histogram_counts():
@@ -267,8 +281,7 @@ def _fuzz_session(rng, vocab, ref):
         cur = min(src, cur + int(rng.integers(0, 3)))
     if words and rng.random() < 0.2:  # truncated: |x| is never reached
         src += 2
-    d = DelaySequence(g=g, source_len=src * scale, hyp_len=len(words),
-                      ref_len=len(ref.split()))
+    d = DelaySequence(g=g, source_len=src * scale, ref_len=len(ref.split()))
     return d, " ".join(words)
 
 

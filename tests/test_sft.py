@@ -16,8 +16,6 @@ def example_pair():
     return CausalPair(
         source_words=["a", "b", FILLER_TOKEN],
         target_words=[WAIT_TOKEN, "x", "y"],
-        wait_count=1,
-        filler_count=1,
         origin_links=AlignmentLinkSet(links={(1, 0), (0, 1)}, source_len=2, target_len=2),
     )
 
@@ -38,8 +36,6 @@ def test_trim_full_identity_pair():
     pair = CausalPair(
         source_words=["a", "b"],
         target_words=["x", "y"],
-        wait_count=0,
-        filler_count=0,
         origin_links=AlignmentLinkSet(links={(0, 0), (1, 1)}, source_len=2, target_len=2),
     )
     src, tgt = trim_pair(pair, 2)
@@ -86,8 +82,6 @@ def test_trim_length_uniform():
     pair = CausalPair(
         source_words=["a", "b", "c", "d"],
         target_words=["w", "x", "y", "z"],
-        wait_count=0,
-        filler_count=0,
         origin_links=AlignmentLinkSet(links=set(), source_len=4, target_len=4),
     )
     cfg = SftConfig(seed=11, samples_per_pair=10_000)

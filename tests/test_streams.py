@@ -1,5 +1,9 @@
+import json
+import re
+
 import pytest
 
+from simtrans.errors import ParseError
 from simtrans.streams import (
     AsrSimConfig,
     AsrSimStream,
@@ -102,6 +106,14 @@ def test_transcript_validation():
         transcript([100, 90], 200)
     with pytest.raises(ValueError):
         transcript([100, 300], 250)
+
+
+@pytest.mark.parametrize("word", [5, None, "", "a b", " a", "a\u2028", "<WAIT>", "<FILLER>"])
+def test_transcript_word_is_one_plain_word(tmp_path, word):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"words": [{"w": word, "end_ms": 100.0}], "total_ms": 200.0}))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: bad transcript: "):
+        read_transcript(path)
 
 
 def test_transcript_file_round_trip(tmp_path):
