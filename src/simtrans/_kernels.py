@@ -13,20 +13,30 @@ table slot.
 import numpy as np
 
 
-def em_sweep(probs, event_slot, group_ptr, row_ptr, ll_const):
-    """One EM sweep: E-step counts and corpus log-likelihood, then M-step.
+def em_sweep(probs, event_slot, group_ptr, row_ptr, ll_const, iterations):
+    """All EM sweeps of one direction: E-step counts and corpus
+    log-likelihood, then M-step, ``iterations`` times.
 
-    Returns the row-normalised table and the log-likelihood under the table
-    entering the sweep.
+    Returns the row-normalised table after the last sweep and the
+    log-likelihood of every sweep, each under the table entering it. Group
+    sizes, row sizes and the starts of the non-empty rows are the same on
+    every sweep, so they are worked out once.
     """
-    w = probs[event_slot]
-    z = np.add.reduceat(w, group_ptr[:-1])
-    ll = float(np.log(z).sum()) - ll_const
-    c = w / np.repeat(z, np.diff(group_ptr))
-    counts = np.bincount(event_slot, weights=c, minlength=probs.size)
-    row_sums = segment_sum(counts, row_ptr)
-    new_probs = counts / np.repeat(row_sums, np.diff(row_ptr))
-    return new_probs, ll
+    group_starts = group_ptr[:-1]
+    group_sizes = np.diff(group_ptr)
+    row_sizes = np.diff(row_ptr)
+    full = row_sizes > 0
+    # an empty row has no slot to divide, so only the non-empty rows are summed
+    row_starts, full_sizes = row_ptr[:-1][full], row_sizes[full]
+    history = []
+    for _ in range(iterations):
+        w = np.take(probs, event_slot)
+        z = np.add.reduceat(w, group_starts)
+        history.append(float(np.log(z).sum()) - ll_const)
+        w /= np.repeat(z, group_sizes)
+        probs = np.bincount(event_slot, weights=w, minlength=probs.size)
+        probs /= np.repeat(np.add.reduceat(probs, row_starts), full_sizes)
+    return probs, history
 
 
 def segment_sum(values, ptr):

@@ -10,6 +10,7 @@ at most once.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -123,25 +124,31 @@ class _TrainedLinks(NamedTuple):
     best: np.ndarray  # segment_argmax of every group under the final table
 
 
-def _layout(pairs, row_id, col_id) -> _Layout:
-    row_ids, col_ids, row_lens, col_lens = [], [], [], []
-    for row_words, col_words in pairs:
-        row_ids.append(0)
-        row_ids.extend(map(row_id, row_words))
-        col_ids.extend(map(col_id, col_words))
-        row_lens.append(len(row_words))
-        col_lens.append(len(col_words))
-    row_lens = np.array(row_lens, dtype=np.int64)
-    col_lens = np.array(col_lens, dtype=np.int64)
+def _layout(pairs, row_index, col_index) -> _Layout:
+    """Layout of (row words, column words) pairs, word ids read from
+    row_index and col_index; a word missing from its index gets -1."""
+    row_words = list(chain.from_iterable(r for r, _ in pairs))
+    col_words = list(chain.from_iterable(c for _, c in pairs))
+    row_lens = np.fromiter(map(len, (r for r, _ in pairs)), dtype=np.int64, count=len(pairs))
+    col_lens = np.fromiter(map(len, (c for _, c in pairs)), dtype=np.int64, count=len(pairs))
     sizes = np.repeat(row_lens + 1, col_lens)
     group_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=group_ptr[1:])
-    # event e of group g reads row_ids[start of g's pair block + e - group_ptr[g]]
+    # row ids of all pairs, each pair's block led by NULL (id 0)
     null_at = np.cumsum(row_lens + 1) - (row_lens + 1)
+    row_ids = np.zeros(len(row_words) + len(pairs), dtype=np.int64)
+    words_at = np.ones(row_ids.size, dtype=bool)
+    words_at[null_at] = False
+    row_ids[words_at] = _ids(row_words, row_index)
+    # event e of group g reads row_ids[start of g's pair block + e - group_ptr[g]]
     shift = np.repeat(np.repeat(null_at, col_lens) - group_ptr[:-1], sizes)
-    event_row = np.array(row_ids, dtype=np.int64)[np.arange(group_ptr[-1]) + shift]
-    event_col = np.repeat(np.array(col_ids, dtype=np.int64), sizes)
+    event_row = row_ids[np.arange(group_ptr[-1]) + shift]
+    event_col = np.repeat(_ids(col_words, col_index), sizes)
     return _Layout(event_row, event_col, group_ptr, row_lens, col_lens)
+
+
+def _ids(words, index) -> np.ndarray:
+    return np.fromiter(map(index.get, words, repeat(-1)), dtype=np.int64, count=len(words))
 
 
 def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "forward") -> TranslationTable:
@@ -166,16 +173,14 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     if not pairs:
         raise EmptyCorpus("alignment training needs at least one sentence pair")
 
-    src_index, tgt_index = {}, {}
-    layout = _layout(
-        pairs,
-        lambda w: src_index.setdefault(w, len(src_index) + 1),  # 0 reserved for NULL
-        lambda w: tgt_index.setdefault(w, len(tgt_index)),
-    )
+    # word ids in first-seen order; source ids from 1, 0 is NULL
+    src_index = _first_seen(chain.from_iterable(r for r, _ in pairs), start=1)
+    tgt_index = _first_seen(chain.from_iterable(c for _, c in pairs), start=0)
     n_tgt = len(tgt_index)
     if not n_tgt:
         side = "target" if direction == "forward" else "source"
         raise EmptyCorpus(f"alignment training needs at least one {side} word")
+    layout = _layout(pairs, src_index, tgt_index)
     ll_const = 0.0
     for n_rows, n_cols in zip(layout.row_lens.tolist(), layout.col_lens.tolist()):
         ll_const += n_cols * math.log(n_rows + 1)
@@ -183,24 +188,25 @@ def train_table(corpus, iterations: int = DEFAULT_ITERATIONS, direction: str = "
     slots, event_slot = np.unique(
         layout.event_col + layout.event_row * n_tgt, return_inverse=True
     )
-    col = slots % n_tgt
     row_ptr = np.searchsorted(slots // n_tgt, np.arange(len(src_index) + 2))
-    probs = np.full(col.size, 1.0 / n_tgt, dtype=np.float64)
-    history = []
-    for _ in range(iterations):
-        probs, ll = _kernels.em_sweep(probs, event_slot, layout.group_ptr, row_ptr, ll_const)
-        history.append(ll)
+    probs = np.full(slots.size, 1.0 / n_tgt, dtype=np.float64)
+    probs, history = _kernels.em_sweep(probs, event_slot, layout.group_ptr, row_ptr, ll_const, iterations)
     best = _kernels.segment_argmax(probs[event_slot], layout.group_ptr)
 
     return TranslationTable(
         source_vocab=list(src_index),
         target_vocab=list(tgt_index),
         row_ptr=row_ptr,
-        col=col,
+        col=slots % n_tgt,
         probs=probs,
         log_likelihood_history=history,
         _trained=_TrainedLinks(pairs, best),
     )
+
+
+def _first_seen(words, start) -> dict:
+    """word -> id, ids counting from start in first-seen order."""
+    return {w: e for e, w in enumerate(dict.fromkeys(words), start=start)}
 
 
 def _best_rows(pairs, table: TranslationTable):
@@ -213,11 +219,7 @@ def _best_rows(pairs, table: TranslationTable):
     trained = table._trained
     if trained is not None and trained.pairs == pairs:
         return trained.best
-    layout = _layout(
-        pairs,
-        lambda w: table._src_index.get(w, -1),
-        lambda w: table._tgt_index.get(w, -1),
-    )
+    layout = _layout(pairs, table._src_index, table._tgt_index)
     return _kernels.segment_argmax(table._weights(layout), layout.group_ptr)
 
 

@@ -14,9 +14,13 @@ import json
 from dataclasses import dataclass
 
 from .aligner import AlignmentLinkSet
-from .errors import InputMismatch, ParseError
+from .errors import BoundsError, InputMismatch, ParseError
 from .inputs import json_lines, read_jsonl
 from .units import FILLER_TOKEN, WAIT_TOKEN
+
+# what json.dumps(record, ensure_ascii=False) writes, without a new encoder per line
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_STR = frozenset((str,))
 
 
 @dataclass
@@ -111,33 +115,37 @@ def pair_to_record(pair: CausalPair) -> dict:
 
 
 def pair_from_record(record: dict, line_no: int = None, path=None) -> CausalPair:
-    """The pair a record holds; its optional waits and fillers counts must
-    equal the markers its words hold."""
+    """The pair a record holds: source and target lists of words, links
+    inside the unpadded sentences, and optional waits and fillers counts
+    equal to the markers its words hold."""
     try:
-        source = list(record["source"])
-        target = list(record["target"])
+        source, target = record["source"], record["target"]
         links = {(int(i), int(j)) for i, j in record["links"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad causal corpus record: {exc}", line_no, path) from exc
+    for key, words in (("source", source), ("target", target)):
+        # a string would pass as a list of its characters
+        if not (isinstance(words, list) and _STR.issuperset(map(type, words))):
+            raise ParseError(f"{key} must be a list of words", line_no, path)
     waits = target.count(WAIT_TOKEN)
     fillers = source.count(FILLER_TOKEN)
     for key, count in (("waits", waits), ("fillers", fillers)):
         if key in record and not (type(record[key]) is int and record[key] == count):
             raise ParseError(f"{key} is {record[key]!r} but the words hold {count}",
                              line_no, path)
-    return CausalPair(
-        source_words=source,
-        target_words=target,
-        origin_links=AlignmentLinkSet(
+    try:
+        origin = AlignmentLinkSet(
             links=links, source_len=len(source) - fillers, target_len=len(target) - waits
-        ),
-    )
+        )
+    except BoundsError as exc:
+        raise ParseError(str(exc), line_no, path) from exc
+    return CausalPair(source_words=source, target_words=target, origin_links=origin)
 
 
 def write_corpus(pairs, path) -> None:
+    text = "".join(f"{_ENCODER.encode(pair_to_record(pair))}\n" for pair in pairs)
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair_to_record(pair), ensure_ascii=False) + "\n")
+        fh.write(text)
 
 
 def read_corpus(path) -> list:

@@ -354,8 +354,12 @@ def _read_trace(path):
          and len(delays) == len(hypothesis),
          f"{delays_key} must hold one delay per hypothesis word"),
         (type(rec.get("source_total")) in (int, float), "source_total must be a number"),
+        (type(rec.get("source_total")) not in (int, float) or math.isfinite(rec["source_total"]),
+         "source_total must be finite"),
         (rec.get("processing_ms") is None or type(rec["processing_ms"]) in (int, float),
          "processing_ms must be a number"),
+        (type(rec.get("processing_ms")) not in (int, float) or math.isfinite(rec["processing_ms"]),
+         "processing_ms must be finite"),
     ):
         if not ok:
             raise SimtransError(f"{path}: {problem}")

@@ -14,6 +14,7 @@ audio in speech mode) consumed when hypothesis word t was committed.
 
 import csv
 import io
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,14 +44,20 @@ class DelaySequence:
         self.g = [float(v) for v in self.g]
         if not self.g:
             return
+        if not math.isfinite(self.source_len):
+            raise ValueError("the source length must be finite")
         if self.source_len <= 0:
             raise ValueError("the source length must be positive")
         prev = 0.0
         for v in self.g:
-            if v < prev:
-                raise ValueError("delays must not be negative" if v < 0
+            # NaN fails this too: it compares false with everything
+            if not prev <= v:
+                raise ValueError("delays must be finite" if not math.isfinite(v)
+                                 else "delays must not be negative" if v < 0
                                  else "delays must be non-decreasing")
             prev = v
+        if prev == math.inf:  # the last delay is the largest
+            raise ValueError("delays must be finite")
         if prev > self.source_len:
             raise ValueError("a delay exceeds the source length")
 

@@ -67,9 +67,6 @@ def _peel_contractions(word: str) -> list[str]:
 
 
 def _split_chunk(chunk: str) -> list[str]:
-    # every contraction suffix holds an apostrophe, which is a split char
-    if _SPLIT_CHARS.isdisjoint(chunk):
-        return [chunk]
     if _normalize_suffix(chunk) in _CONTRACTION_SUFFIXES:
         return [chunk]
     parts = []
@@ -102,9 +99,15 @@ def tokenize(sentence: str) -> list[str]:
     norm = unicodedata.normalize("NFC", sentence).strip()
     if not norm:
         raise EmptySentence("sentence is empty after trimming")
+    if _SPLIT_CHARS.isdisjoint(norm):
+        return norm.split()
     words = []
     for chunk in norm.split():
-        words.extend(w for w in _split_chunk(chunk) if w)
+        # a chunk with no mark, or a lone mark, is one word as it stands
+        if len(chunk) == 1 or _SPLIT_CHARS.isdisjoint(chunk):
+            words.append(chunk)
+        else:
+            words.extend(_split_chunk(chunk))
     return words
 
 

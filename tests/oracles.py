@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes expected values by a different route than the
-package code: dictionary-based EM, per-cell argmax linking through table
+package code: dictionary-based EM, array EM with one sweep per call over a
+layout built word by word, per-cell argmax linking through table
 lookups, exhaustive search over wait placements, a from-scratch causality
 scan over raw corpus records, ASR windowing that rescans every word on
 every tick, evaluation that re-tokenizes and re-counts every sentence of
@@ -14,6 +15,8 @@ import re
 import unicodedata
 from collections import Counter, defaultdict
 from itertools import combinations_with_replacement
+
+import numpy as np
 
 from simtrans.errors import DegenerateInput, InputMismatch
 from simtrans.metrics import (
@@ -66,6 +69,50 @@ def naive_em(pairs, iterations):
         prob = {(e, f): counts[(e, f)] / totals[e] for (e, f) in support}
         history.append(ll)
     return prob, history
+
+
+def sweep_per_call_em(pairs, iterations):
+    """The array EM of aligner.train_table, one sweep per kernel call.
+
+    pairs are (row words, column words) in the table's direction. Word ids
+    come from a per-word dict insertion in first-seen order and the event
+    layout from a Python loop over pairs; every sweep re-derives its group
+    and row sizes. The arithmetic is the same, in the same order, so the
+    result must be bit-identical. Returns (probs over the table's slots,
+    [log-likelihoods]).
+    """
+    src_index, tgt_index = {}, {}
+    row_ids, col_ids, events = [], [], []
+    group_ptr, ll_const = [0], 0.0
+    for row_words, col_words in pairs:
+        block = [0] + [src_index.setdefault(w, len(src_index) + 1) for w in row_words]
+        for w in col_words:
+            f = tgt_index.setdefault(w, len(tgt_index))
+            row_ids.extend(block)
+            col_ids.extend([f] * len(block))
+            group_ptr.append(group_ptr[-1] + len(block))
+        ll_const += len(col_words) * math.log(len(row_words) + 1)
+    n_tgt = len(tgt_index)
+    group_ptr = np.array(group_ptr, dtype=np.int64)
+    slots, event_slot = np.unique(
+        np.array(col_ids, dtype=np.int64) + np.array(row_ids, dtype=np.int64) * n_tgt,
+        return_inverse=True,
+    )
+    row_ptr = np.searchsorted(slots // n_tgt, np.arange(len(src_index) + 2))
+    probs = np.full(slots.size, 1.0 / n_tgt, dtype=np.float64)
+    history = []
+    for _ in range(iterations):
+        w = probs[event_slot]
+        z = np.add.reduceat(w, group_ptr[:-1])
+        history.append(float(np.log(z).sum()) - ll_const)
+        c = w / np.repeat(z, np.diff(group_ptr))
+        counts = np.bincount(event_slot, weights=c, minlength=probs.size)
+        row_sizes = np.diff(row_ptr)
+        row_sums = np.zeros(row_sizes.size)
+        full = row_sizes > 0
+        row_sums[full] = np.add.reduceat(counts, row_ptr[:-1][full])
+        probs = counts / np.repeat(row_sums, row_sizes)
+    return probs, history
 
 
 def _argmax_links(row_words, col_words, table):

@@ -16,7 +16,7 @@ from simtrans.aligner import (
 from simtrans.errors import BoundsError, EmptyCorpus, InputMismatch, ParseError
 from simtrans.rng import make_rng
 
-from oracles import cell_links, naive_em
+from oracles import cell_links, naive_em, sweep_per_call_em
 
 TWO_PAIR = [(["the", "dog"], ["le", "chien"]), (["the", "cat"], ["le", "chat"])]
 
@@ -196,6 +196,21 @@ def _noisy_corpus(seed, n_pairs):
             tgt[a], tgt[a + 1] = tgt[a + 1], tgt[a]
         corpus.append((src, tgt))
     return corpus
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_em_is_bit_identical_to_one_sweep_per_call(direction):
+    noisy = _noisy_corpus(34, 300)
+    assert any(not s for s, _ in noisy) and any(not t for _, t in noisy)
+    # in reverse, t4 and t3 are table rows with no entries
+    empty_rows = [([], ["t4", "t1"]), (["s2"], ["t1"]), ([], ["t4", "t3"])]
+    for corpus in (noisy, empty_rows):
+        pairs = corpus if direction == "forward" else [(t, s) for s, t in corpus]
+        for iterations in (1, 15):
+            table = train_table(corpus, iterations=iterations, direction=direction)
+            ref_probs, ref_history = sweep_per_call_em(pairs, iterations)
+            assert np.array_equal(table.probs, ref_probs)
+            assert table.log_likelihood_history == ref_history
 
 
 def _links(link_sets):

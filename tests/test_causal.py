@@ -139,6 +139,21 @@ def test_pair_from_record_rejects_garbage():
         pair_from_record({"source": ["a"]}, line_no=3)
 
 
+@pytest.mark.parametrize("record, expected", [
+    ({"source": ["a", "b"], "target": ["x", "y"], "links": [[5, 0]]}, "link (5,0) outside 2x2"),
+    # the bounds are the sentences without their markers
+    ({"source": ["a", FILLER_TOKEN], "target": ["x", "y"], "links": [[1, 0]]},
+     "link (1,0) outside 1x2"),
+    ({"source": "ab", "target": ["x", "y"], "links": [[1, 0]]}, "source must be a list of words"),
+    ({"source": ["a"], "target": "x", "links": [[0, 0]]}, "target must be a list of words"),
+    ({"source": [None], "target": ["x"], "links": []}, "source must be a list of words"),
+])
+def test_pair_from_record_names_file_and_line(record, expected):
+    with pytest.raises(ParseError) as exc:
+        pair_from_record(record, line_no=3, path="c.jsonl")
+    assert str(exc.value) == f"c.jsonl: line 3: {expected}"
+
+
 def test_counts_are_the_markers_of_the_words():
     out = causal_align(["a", "b"], ["x", "y", "z"], links_of({(1, 0)}, 2, 3))
     assert out.target_words == [WAIT_TOKEN, "x", "y", "z"]

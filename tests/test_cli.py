@@ -52,6 +52,14 @@ def test_align_output_matches_golden(tmp_path, toy_corpus):
     assert out.read_bytes() == (GOLDEN / "toy_align_causal.jsonl").read_bytes()
 
 
+def test_align_fixture_matches_golden(tmp_path):
+    # eight pairs with punctuation, wait markers and filler padding
+    out = tmp_path / "causal.jsonl"
+    test_set = FIXTURES / "evaluate" / "test.jsonl"
+    assert main(["align", "--input", str(test_set), "--output", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "fixture_align_causal.jsonl").read_bytes()
+
+
 def test_align_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     code = main(["align", "--input", str(missing), "--output", str(tmp_path / "o")])
@@ -136,6 +144,24 @@ def test_build_dataset_sample_count(tmp_path):
     assert main(["build-dataset", "--input", str(causal), "--output", str(out),
                  "--samples-per-pair", "2"]) == EXIT_OK
     assert len(out.read_text().strip().split("\n")) == 20
+
+
+@pytest.mark.parametrize("record, expected", [
+    # a link past a 2-word source, from BoundsError
+    ({"source": ["a", "b"], "target": ["x", "y"], "links": [[5, 0]]}, "link (5,0) outside 2x2"),
+    # a string would be read as its characters, where verify refuses it
+    ({"source": "ab", "target": ["x", "y"], "links": [[1, 0]]}, "source must be a list of words"),
+    ({"source": ["a", "b"], "target": ["x", 2], "links": [[1, 0]]},
+     "target must be a list of words"),
+], ids=["link-out-of-bounds", "string-source", "number-in-target"])
+def test_build_dataset_bad_record_names_file_and_line(tmp_path, record, expected):
+    causal = tmp_path / "causal.jsonl"
+    write_jsonl(causal, [{"source": ["a"], "target": ["x"], "links": [[0, 0]]}, record])
+    out = tmp_path / "o.jsonl"
+    code, err = run_cli("build-dataset", "--input", causal, "--output", out)
+    assert code == EXIT_USAGE
+    assert err == f"error: {causal}: line 2: {expected}\n"
+    assert not out.exists()
 
 
 def test_build_dataset_corrupt_record(tmp_path, capsys):
@@ -556,6 +582,15 @@ _CORRUPT_FIELDS = {
     ),
     "delays-negative": ({"delays_words": [-2, 1, 3]}, "delays must not be negative"),
     "source-total-zero": ({"source_total": 0}, "the source length must be positive"),
+    # json.dumps writes these as the bare NaN and Infinity that json.loads reads back
+    "delays-nan": ({"delays_words": [1, float("nan"), 3]}, "delays must be finite"),
+    "delays-infinite": ({"delays_words": [1, 2, float("inf")]}, "delays must be finite"),
+    "source-total-nan": ({"source_total": float("nan")}, "source_total must be finite"),
+    "source-total-infinite": ({"source_total": float("inf")}, "source_total must be finite"),
+    "processing-ms-nan": (
+        {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": float("nan")},
+        "processing_ms must be finite",
+    ),
 }
 
 

@@ -149,6 +149,14 @@ def test_delay_sequence_validation():
     for source_len in (0, -1):
         with pytest.raises(ValueError, match="source length must be positive"):
             DelaySequence(g=[0], source_len=source_len)
+    # NaN compares false with everything, so no order or bound test sees it
+    nan, inf = float("nan"), float("inf")
+    for g in ([1, nan, 3], [nan], [1, 2, nan], [1, inf], [-inf, 1]):
+        with pytest.raises(ValueError, match="delays must be finite"):
+            DelaySequence(g=g, source_len=3)
+    for source_len in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="source length must be finite"):
+            DelaySequence(g=[1], source_len=source_len)
     # no delay, no source: nothing to refuse, and nothing to score
     with pytest.raises(DegenerateInput, match="empty hypothesis"):
         average_lagging(DelaySequence(g=[], source_len=0))

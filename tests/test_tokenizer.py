@@ -82,6 +82,17 @@ def test_tokenize_matches_a_full_scan(rng):
         if not text.strip():
             continue
         assert tokenize(text) == scan_tokenize(text), text
+    # whole chunks: plain words, lone marks, marks at either edge of a chunk
+    # or at both, contractions; one sentence in four has no mark at all
+    plain = ["cat", "Dogs", "3", "x%y", "a/b", "na\u00efve", "u\u0308ber"]
+    marked = [".", "'", "’", "-", "—", "«", "“", "¿", "…", '"', ",cat", "cat,", "(cat)",
+              "'cat'", "-3", "3-", "«cat»", "don't", "DON’T", "they're", "n't", "'ll",
+              "cats'", "rock'n'roll", "3.5", "1,000", "well-known", "O'Brien", "'tis"]
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        words = plain if rng.random() < 0.25 else plain + marked
+        text = " ".join(words[int(i)] for i in rng.integers(0, len(words), size=n))
+        assert tokenize(text) == scan_tokenize(text), text
 
 
 def _natural_sentence(rng):
