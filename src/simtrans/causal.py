@@ -12,15 +12,18 @@ reaches a model.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .aligner import AlignmentLinkSet
 from .errors import BoundsError, InputMismatch, ParseError
-from .inputs import json_lines, read_jsonl
+from .inputs import json_lines, read_jsonl, unpaired_surrogate
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
 # what json.dumps(record, ensure_ascii=False) writes, without a new encoder per line
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 _STR = frozenset((str,))
+# a link index is an int, never a bool, a float or a numeric string
+_INT = frozenset((int,))
 
 
 @dataclass
@@ -120,9 +123,12 @@ def pair_from_record(record: dict, line_no: int = None, path=None) -> CausalPair
     equal to the markers its words hold."""
     try:
         source, target = record["source"], record["target"]
-        links = {(int(i), int(j)) for i, j in record["links"]}
+        links = {(i, j) for i, j in record["links"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad causal corpus record: {exc}", line_no, path) from exc
+    if not _INT.issuperset(map(type, chain.from_iterable(links))):
+        bad = next(link for link in record["links"] if not _INT.issuperset(map(type, link)))
+        raise ParseError(f"malformed link {bad!r}", line_no, path)
     for key, words in (("source", source), ("target", target)):
         # a string would pass as a list of its characters
         if not (isinstance(words, list) and _STR.issuperset(map(type, words))):
@@ -164,6 +170,9 @@ def verify_pair(record: dict) -> list:
     links = record.get("links")
     if not isinstance(source, list) or not isinstance(target, list) or not isinstance(links, list):
         return ["record missing source/target/links lists"]
+    for key, words in (("source", source), ("target", target)):
+        if not _STR.issuperset(map(type, words)):
+            problems.append(f"{key} must be a list of words")
 
     if len(source) != len(target):
         problems.append(f"length mismatch {len(source)} != {len(target)}")
@@ -178,11 +187,11 @@ def verify_pair(record: dict) -> list:
     positions = [idx for idx, w in enumerate(target) if w != WAIT_TOKEN]
     stripped_src_len = len(source) - n_fill
     for pair_link in links:
-        try:
-            i, j = int(pair_link[0]), int(pair_link[1])
-        except (TypeError, ValueError, IndexError):
+        if not (type(pair_link) is list and len(pair_link) == 2
+                and type(pair_link[0]) is int and type(pair_link[1]) is int):
             problems.append(f"malformed link {pair_link!r}")
             continue
+        i, j = pair_link
         if not (0 <= i < stripped_src_len):
             problems.append(f"link source index {i} out of range")
             continue
@@ -207,5 +216,9 @@ def verify_corpus_file(path):
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             yield record_no, n, [f"invalid JSON: {exc}"]
+            continue
+        at = unpaired_surrogate(line) if "\\" in line else None
+        if at is not None:
+            yield record_no, n, [f"unpaired surrogate {line[at:at + 6]}"]
             continue
         yield record_no, n, verify_pair(record)

@@ -13,6 +13,9 @@ files, so any change here is a format break:
 Source and target slots are space-joined word lists; with no target words
 the prompt ends with "[/INST] " including the trailing space. Disabling the
 system message removes the whole <<SYS>> block (the fast-inference variant).
+Everything before {PARTIAL_SOURCE} depends on the system message alone;
+prompt_head renders it, for build_prompt and for the SFT writer, which
+escapes it once per file.
 
 build_prompt returns a Prompt: the text itself, as a str, that also carries
 the word tuples it was built from, so a backend that works on words reads
@@ -56,14 +59,19 @@ class Prompt(str):
         return self
 
 
+def prompt_head(system_message=None) -> str:
+    """The text every prompt with this system message starts with, up to
+    its source words; system_message=None omits the <<SYS>> block."""
+    if system_message is None:
+        return "<s>[INST]\nTranslate this text: "
+    return f"<s>[INST]\n<<SYS>>\n\n{system_message}\n<</SYS>>\nTranslate this text: "
+
+
 def build_prompt(partial_source, partial_target, system_message=None) -> Prompt:
-    """Collate the prompt; system_message=None omits the <<SYS>> block."""
-    head = "<s>[INST]\n"
-    if system_message is not None:
-        head += f"<<SYS>>\n\n{system_message}\n<</SYS>>\n"
+    """Collate the prompt: prompt_head(system_message), then the words."""
     source = tuple(partial_source)
     target = tuple(partial_target)
-    text = f"{head}Translate this text: {' '.join(source)} [/INST] {' '.join(target)}"
+    text = f"{prompt_head(system_message)}{' '.join(source)} [/INST] {' '.join(target)}"
     return Prompt(text, source, target)
 
 

@@ -10,10 +10,11 @@ loss on) is the partial target, possibly a lone trailing wait marker.
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .causal import CausalPair
 from .errors import RangeError
-from .prompt import DEFAULT_TARGET_LANGUAGE, build_prompt, interpreter_system_message
+from .prompt import DEFAULT_TARGET_LANGUAGE, build_prompt, interpreter_system_message, prompt_head
 from .rng import make_rng
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
@@ -67,9 +68,9 @@ def trim_pair(pair: CausalPair, l: int):
     return partial_source, kept
 
 
-def make_sample(pair: CausalPair, l: int, cfg: SftConfig) -> SftSample:
+def make_sample(pair: CausalPair, l: int, system_message: str) -> SftSample:
     partial_source, partial_target = trim_pair(pair, l)
-    prompt = build_prompt(partial_source, [], interpreter_system_message(cfg.target_language))
+    prompt = build_prompt(partial_source, [], system_message)
     return SftSample(
         prompt=prompt,
         completion=" ".join(partial_target),
@@ -82,20 +83,33 @@ def make_sample(pair: CausalPair, l: int, cfg: SftConfig) -> SftSample:
 def emit_samples(corpus, cfg: SftConfig):
     """Deterministic sample stream: same seed, same bytes."""
     rng = make_rng(cfg.seed)
+    system_message = interpreter_system_message(cfg.target_language)
     for pair in corpus:
         length = pair.aligned_length()
         for _ in range(cfg.samples_per_pair):
             l = int(rng.integers(1, length + 1))
-            yield make_sample(pair, l, cfg)
+            yield make_sample(pair, l, system_message)
 
 
 def write_samples(corpus, cfg: SftConfig, path) -> int:
-    n = 0
+    """One line per sample: json.dumps(sample.to_record(), ensure_ascii=False).
+
+    JSON escapes each character on its own, so every prompt's escape starts
+    with the escape of the head all prompts share, which is made once here.
+    """
+    head = prompt_head(interpreter_system_message(cfg.target_language))
+    cut = len(head)
+    open_head = encode_basestring(head)[:-1]  # without its closing quote
+    lines = [
+        f'{{"prompt": {open_head}{encode_basestring(s.prompt[cut:])[1:]}, '
+        f'"completion": {encode_basestring(s.completion)}, '
+        f'"meta": {{"trim_len": {s.trim_len}, "source_len": {s.source_len}, '
+        f'"loss_mask_boundary": {s.loss_mask_boundary}}}}}\n'
+        for s in emit_samples(corpus, cfg)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in emit_samples(corpus, cfg):
-            fh.write(json.dumps(sample.to_record(), ensure_ascii=False) + "\n")
-            n += 1
-    return n
+        fh.write("".join(lines))
+    return len(lines)
 
 
 def training_meta(cfg: SftConfig) -> dict:

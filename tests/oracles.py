@@ -7,9 +7,11 @@ lookups, exhaustive search over wait placements, a from-scratch causality
 scan over raw corpus records, ASR windowing that rescans every word on
 every tick, evaluation that re-tokenizes and re-counts every sentence of
 every resample from its strings, prompt words parsed back from the
-prompt text, and tokenization that scans every character of every chunk.
+prompt text, tokenization that scans every character of every chunk, and
+an SFT line that json.dumps encodes whole.
 """
 
+import json
 import math
 import re
 import unicodedata
@@ -176,6 +178,11 @@ def rescan_causality(record):
         if j >= len(positions) or positions[j] < i:
             return False
     return len(record["source"]) == len(record["target"])
+
+
+def sft_line(sample):
+    """The JSONL line of one SFT sample, its whole record through json.dumps."""
+    return json.dumps(sample.to_record(), ensure_ascii=False) + "\n"
 
 
 def asr_rescan(end_ms, total_ms, window_ms):

@@ -173,6 +173,83 @@ def test_build_dataset_corrupt_record(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_build_dataset_fixture_matches_golden(tmp_path):
+    # three samples per pair of the aligned fixture: prompts, completions,
+    # trim lengths and the meta sidecar, byte for byte
+    out = tmp_path / "sft.jsonl"
+    assert main(["build-dataset", "--input", str(GOLDEN / "fixture_align_causal.jsonl"),
+                 "--output", str(out), "--samples-per-pair", "3"]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "fixture_sft.jsonl").read_bytes()
+    assert ((tmp_path / "sft.jsonl.meta.json").read_bytes()
+            == (GOLDEN / "fixture_sft.meta.json").read_bytes())
+
+
+_GOOD_RECORD = {"source": ["a", "b"], "target": ["x", "y"], "links": [[0, 0], [1, 1]]}
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("links", [[0.9, 0], ["1", True]], "malformed link [0.9, 0]"),
+    ("links", [[0, 0], [1, True]], "malformed link [1, True]"),
+    ("links", [[0, 0], ["1", 1]], "malformed link ['1', 1]"),
+    ("links", [[0, 0], [1.0, 1]], "malformed link [1.0, 1]"),
+    ("source", ["a", 7], "source must be a list of words"),
+    ("target", ["x", None], "target must be a list of words"),
+], ids=["float-and-string-bool", "bool", "numeric-string", "integral-float", "number-word",
+        "null-word"])
+def test_verify_and_build_dataset_refuse_the_same_record(tmp_path, capsys, field, value,
+                                                         problem):
+    causal = tmp_path / "causal.jsonl"
+    write_jsonl(causal, [_GOOD_RECORD, {**_GOOD_RECORD, field: value}])
+    assert main(["verify", str(causal)]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert f"pair 2 ({causal}:2): {problem}\n" in out
+    assert "pair 1 " not in out and "verified 2 pairs: 1 ok, 1 violating" in out
+    sft_path = tmp_path / "sft.jsonl"
+    assert main(["build-dataset", "--input", str(causal), "--output", str(sft_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {causal}: line 2: {problem}\n"
+    assert not sft_path.exists()
+
+
+@pytest.mark.parametrize("command", ["align", "build-dataset", "simulate", "simulate-dict",
+                                     "verify"])
+def test_unpaired_surrogate_escape_is_refused_where_read(tmp_path, capsys, command):
+    # json.loads reads "\ud800" as a str no UTF-8 file can hold
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    pairs = ['{"source": "a b", "target": "x y"}', r'{"source": "a \ud800 b", "target": "x y z"}']
+    line, escape = 2, r"\ud800"
+    if command == "align":
+        bad.write_text("\n".join(pairs))
+        argv = ["align", "--input", bad, "--output", out]
+    elif command in ("build-dataset", "verify"):
+        bad.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                       + r'{"source": ["a", "\ud800"], "target": ["x", "y"], "links": [[0, 0]]}')
+        argv = ["build-dataset", "--input", bad, "--output", out] if command != "verify" \
+            else ["verify", bad]
+    elif command == "simulate":
+        bad.write_text("\n".join(pairs))
+        argv = ["simulate", "--input", bad, "--out-dir", out, "--backend", "dict",
+                "--dict-file", FIXTURES / "evaluate" / "dict.json", "--k", "1"]
+    else:
+        # one document over lines: the error names the line of the escape
+        bad.write_text('{\r\n"a": "x",\r\n' + r'"b": "y\udc00"' + "\r\n}")
+        test_set = tmp_path / "test.jsonl"
+        test_set.write_text(pairs[0])
+        line, escape = 3, r"\udc00"
+        argv = ["simulate", "--input", test_set, "--out-dir", out, "--backend", "dict",
+                "--dict-file", bad, "--k", "1"]
+    code = main(list(map(str, argv)))
+    captured = capsys.readouterr()
+    if command == "verify":
+        assert code == EXIT_VERIFY
+        assert f"pair 2 ({bad}:2): unpaired surrogate {escape}\n" in captured.out
+        assert "verified 2 pairs: 1 ok, 1 violating" in captured.out
+    else:
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: {bad}: line {line}: unpaired surrogate {escape}\n"
+        assert not out.exists()
+
+
 def _simulate_dict(tmp_path, sentences, k="1,3", extra=None):
     test_set = tmp_path / "test.jsonl"
     write_jsonl(test_set, sentences)

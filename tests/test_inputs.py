@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 
 from simtrans.aligner import import_alignments
 from simtrans.errors import ParseError
-from simtrans.inputs import read_json, read_jsonl, read_text
+from simtrans.inputs import read_json, read_jsonl, read_text, unpaired_surrogate
 
 
 def test_jsonl_splits_at_line_ends_only(tmp_path):
@@ -39,3 +40,39 @@ def test_pharaoh_blank_line_is_a_pair_without_links(tmp_path):
     corpus = [(["a"], ["x"]), (["b"], ["y"]), (["c", "d"], ["z", "w"])]
     assert [s.links for s in import_alignments(path, corpus)] == [{(0, 0)}, set(),
                                                                   {(1, 0), (0, 1)}]
+
+
+# JSON string pieces: surrogate halves and pairs, escaped backslashes that
+# make a following "u" plain text, and other escapes
+_ESCAPE_PIECES = [r"\ud800", r"\uDBFF", r"\udc00", r"\uDfFf", r"\ud83d\ude00", r"\\",
+                  r"\\u", r"\\ud800", r"\n", r"\u0041", r"\u00e9", r'\"', "a", "\u00e9"]
+
+
+def test_unpaired_surrogate_finds_what_json_decodes(rng):
+    lone = re.compile("[\ud800-\udfff]")
+    found = 0
+    for _ in range(3000):
+        strings = ["".join(_ESCAPE_PIECES[int(k)] for k in
+                           rng.integers(0, len(_ESCAPE_PIECES), int(rng.integers(0, 5))))
+                   for _ in range(2)]
+        text = '["%s", {"%s": 1}]' % tuple(strings)
+        decoded = json.loads(text)
+        expected = any(lone.search(s) for s in (decoded[0], *decoded[1]))
+        at = unpaired_surrogate(text)
+        assert (at is not None) == expected, text
+        if at is not None:
+            found += 1
+            assert lone.fullmatch(json.loads(f'"{text[at:at + 6]}"')), text
+    assert 300 < found < 2700
+
+
+def test_unpaired_surrogate_names_its_line(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": "\\ud83d\\ude00",\r\n\r"b": ["x", "\\\\ud800", "\\ud800"]}')
+    with pytest.raises(ParseError) as exc:
+        read_json(path)
+    assert str(exc.value) == f"{path}: line 3: unpaired surrogate \\ud800"
+    path.write_bytes(b'{"a": "\\ud83d\\ude00"}\n\n{"b": "\\udfff\\ud800"}\n')
+    with pytest.raises(ParseError) as exc:
+        list(read_jsonl(path))
+    assert str(exc.value) == f"{path}: line 3: unpaired surrogate \\udfff"

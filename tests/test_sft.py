@@ -6,10 +6,19 @@ from scipy import stats as scipy_stats
 from simtrans.aligner import AlignmentLinkSet
 from simtrans.causal import CausalPair
 from simtrans.errors import RangeError
-from simtrans.sft import SftConfig, emit_samples, make_sample, training_meta, trim_pair
+from simtrans.prompt import interpreter_system_message
+from simtrans.sft import (
+    SftConfig,
+    emit_samples,
+    make_sample,
+    training_meta,
+    trim_pair,
+    write_samples,
+)
 from simtrans.units import FILLER_TOKEN, WAIT_TOKEN
 
 from conftest import GOLDEN
+from oracles import sft_line
 
 
 def example_pair():
@@ -50,7 +59,7 @@ def test_trim_out_of_range():
 
 
 def test_sample_prompt_and_completion():
-    sample = make_sample(example_pair(), 1, SftConfig())
+    sample = make_sample(example_pair(), 1, interpreter_system_message())
     assert sample.completion == WAIT_TOKEN
     assert sample.prompt.endswith("Translate this text: a [/INST] ")
     assert sample.loss_mask_boundary == len(sample.prompt)
@@ -58,7 +67,7 @@ def test_sample_prompt_and_completion():
 
 
 def test_prompt_golden_file():
-    sample = make_sample(example_pair(), 1, SftConfig())
+    sample = make_sample(example_pair(), 1, interpreter_system_message())
     golden = (GOLDEN / "sft_prompt.txt").read_text(encoding="utf-8")
     assert sample.prompt == golden
 
@@ -76,6 +85,37 @@ def test_emission_deterministic():
     first = [s.to_record() for s in emit_samples([example_pair()] * 10, cfg)]
     second = [s.to_record() for s in emit_samples([example_pair()] * 10, cfg)]
     assert json.dumps(first) == json.dumps(second)
+
+
+# characters JSON escapes, or that a careless line splitter cuts at
+_FUZZ_PIECES = ['"', "\\", "\x00", "\x1f", "\n", "\r", "\t", "\x7f", "\x85", "\u2028",
+                "\u2029", "\U0001F600", "\U00010348", "é", "/", "a", "Zz", "[/INST]", WAIT_TOKEN]
+
+
+def test_written_lines_equal_json_dumps_of_each_sample(tmp_path, rng):
+    def word():
+        picks = rng.integers(0, len(_FUZZ_PIECES), int(rng.integers(1, 4)))
+        return "".join(_FUZZ_PIECES[int(k)] for k in picks)
+
+    for trial in range(40):
+        corpus = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 9))
+            fillers = int(rng.integers(0, n))
+            source = [word() for _ in range(n - fillers)] + [FILLER_TOKEN] * fillers
+            target = [WAIT_TOKEN if rng.random() < 0.25 else word() for _ in range(n)]
+            links = AlignmentLinkSet(links=set(), source_len=n - fillers,
+                                     target_len=n - target.count(WAIT_TOKEN))
+            corpus.append(CausalPair(source, target, links))
+        cfg = SftConfig(target_language=word(), seed=trial,
+                        samples_per_pair=int(rng.integers(1, 4)))
+        path = tmp_path / "sft.jsonl"
+        count = write_samples(corpus, cfg, path)
+        expected = [sft_line(sample) for sample in emit_samples(corpus, cfg)]
+        assert count == len(expected)
+        # JSON escapes \n inside a string, so the file's lines end only at \n
+        written = path.read_bytes().decode("utf-8").split("\n")
+        assert written == "".join(expected).split("\n")
 
 
 def test_trim_length_uniform():
