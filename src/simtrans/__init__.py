@@ -13,10 +13,8 @@ from .backends import (
     DictionaryBackend,
     HttpBackend,
     HttpBackendConfig,
-    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
-    load_recording,
 )
 from .bleu import corpus_bleu, tokenize_13a
 from .causal import CausalPair, build_corpus, causal_align, read_corpus, write_corpus

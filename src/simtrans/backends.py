@@ -3,15 +3,14 @@
 A backend maps a prompt to exactly one unit per call: a word, a wait signal
 or end-of-sentence. The engine passes a prompt.StepPrompt; a prompt.Prompt
 or any other object with source and target word sequences and str() text
-serves the same way. Remote, recording and replay backends send or hash
-str(prompt), the only place the text is rendered; the dictionary and
-scripted backends never render it. The engine passes allow_wait=False when
-waits are being suppressed after source exhaustion; honoring it is
-best-effort for remote backends and exact for the rule-based mocks.
+serves the same way. The remote backend sends str(prompt), the only place
+the text is rendered; the dictionary, scripted and replay backends never
+render it. The engine passes allow_wait=False when waits are being
+suppressed after source exhaustion; honoring it is best-effort for remote
+backends and exact for the dictionary; replay serves the recorded unit.
 """
 
 import base64
-import hashlib
 import http.client
 import json
 import os
@@ -24,12 +23,11 @@ from dataclasses import dataclass
 from .errors import (
     BackendUnavailable,
     MalformedResponse,
-    ParseError,
     ReplayMiss,
     ScriptUnderrun,
+    SimtransError,
 )
-from .inputs import read_jsonl
-from .units import Signal, Unit, WAIT_TOKEN, unit_from_str, unit_to_str
+from .units import Signal, Unit, WAIT_TOKEN, unit_from_str
 
 
 class ScriptedBackend:
@@ -238,63 +236,48 @@ class HttpBackend:
         return stripped.split()[0]
 
 
-class RecordingBackend:
-    """Wraps another backend, appending (prompt hash, unit) pairs to a file."""
-
-    def __init__(self, path, inner):
-        self.path = path
-        self.inner = inner
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
-        unit = self.inner.next_unit(prompt, allow_wait=allow_wait)
-        record = {"prompt_sha256": prompt_hash(prompt), "unit": unit_to_str(unit)}
-        self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        self._fh.flush()
-        return unit
-
-    def close(self):
-        self._fh.close()
-
-
 class ReplayBackend:
-    """Serves units recorded by RecordingBackend; unseen prompts error.
+    """Serves the units of one session trace record, in call order.
 
-    Repeated occurrences of the same prompt replay in recorded order, so a
-    session re-run with identical inputs reproduces the original unit
-    sequence exactly. Each session should use its own instance (fresh
-    cursors); build them cheaply from a shared load_recording() result.
+    Each step must reveal as many source words as the trace had read before
+    that unit, and the words revealed since the previous step must be the
+    trace's; only those are compared, so a step costs no more than its new
+    words. Past the last unit, a failed trace raises its recorded error
+    again and a finished one raises ReplayMiss.
     """
 
-    def __init__(self, recording):
-        self.recording = recording
-        self._cursor = {}
+    def __init__(self, trace):
+        self.source = []  # the trace's read words, in order
+        self.steps = []   # (words read before the unit, unit); None re-raises error
+        for event in trace.get("events", ()):
+            kind = event["kind"]
+            if kind == "read":
+                self.source.append(event["word"])
+            else:
+                unit = event["word"] if kind == "write" else Signal[kind.upper()]
+                self.steps.append((len(self.source), unit))
+        self.error = trace.get("error")
+        if self.error is not None:
+            self.steps.append((len(self.source), None))
+        self.pos = 0
+        self._checked = 0
 
     def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
-        h = prompt_hash(prompt)
-        units = self.recording.get(h)
-        if not units:
-            raise ReplayMiss(f"no recorded unit for prompt hash {h[:12]}...")
-        idx = self._cursor.get(h, 0)
-        if idx >= len(units):
-            idx = len(units) - 1  # stationary tail: repeat the last recording
-        self._cursor[h] = idx + 1
-        return unit_from_str(units[idx])
-
-
-def prompt_hash(prompt) -> str:
-    """SHA-256 of str(prompt), the key of recording and replay."""
-    return hashlib.sha256(str(prompt).encode("utf-8")).hexdigest()
-
-
-def load_recording(path) -> dict:
-    table = {}
-    for n, rec in read_jsonl(path):
-        if not (isinstance(rec, dict) and isinstance(rec.get("prompt_sha256"), str)
-                and isinstance(rec.get("unit"), str)):
-            raise ParseError("a record needs prompt_sha256 and unit strings", n, path)
-        table.setdefault(rec["prompt_sha256"], []).append(rec["unit"])
-    return table
+        step = self.pos + 1
+        if self.pos >= len(self.steps):
+            raise ReplayMiss(f"step {step} runs past the {self.pos} units of the trace")
+        reads, unit = self.steps[self.pos]
+        revealed = prompt.source
+        if len(revealed) != reads:
+            raise ReplayMiss(f"step {step} reveals {len(revealed)} source words, "
+                             f"the trace {reads}")
+        if any(revealed[i] != self.source[i] for i in range(self._checked, reads)):
+            raise ReplayMiss(f"step {step} reveals other source words than the trace")
+        self._checked = reads
+        self.pos = step
+        if unit is None:
+            raise SimtransError(self.error)
+        return unit
 
 
 def _proxy_for(url):

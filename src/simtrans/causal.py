@@ -178,6 +178,9 @@ def verify_pair(record: dict) -> list:
         problems.append(f"length mismatch {len(source)} != {len(target)}")
 
     n_fill = source.count(FILLER_TOKEN)
+    for key, count in (("waits", target.count(WAIT_TOKEN)), ("fillers", n_fill)):
+        if key in record and not (type(record[key]) is int and record[key] == count):
+            problems.append(f"{key} is {record[key]!r} but the words hold {count}")
     if n_fill and source[-n_fill:] != [FILLER_TOKEN] * n_fill:
         problems.append("fillers are not a contiguous source suffix")
     if FILLER_TOKEN in source[: len(source) - n_fill]:

@@ -21,10 +21,8 @@ from .backends import (
     DictionaryBackend,
     HttpBackend,
     HttpBackendConfig,
-    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
-    load_recording,
 )
 from .errors import EmptyCorpus, SessionError, SimtransError
 from .prompt import DEFAULT_TARGET_LANGUAGE
@@ -49,8 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _string(value):
+    """A str that encodes as UTF-8; argv and the environment decode a byte
+    that is not UTF-8 to a lone surrogate, which no output file can hold."""
     if not isinstance(value, str):
         raise TypeError(value)
+    value.encode("utf-8")  # a UnicodeEncodeError is a ValueError
     return value
 
 
@@ -232,7 +233,10 @@ def _build_shared_backend(args):
     if args.backend == "replay":
         if not args.recording:
             raise SimtransError("--recording is required for the replay backend")
-        return load_recording(args.recording)
+        traces = _read_traces(args.recording)
+        for path, rec in traces.values():
+            _trace_events(path, rec)
+        return traces
     if args.backend == "scripted":
         if not args.script_file:
             raise SimtransError("--script-file is required for the scripted backend")
@@ -275,41 +279,34 @@ def cmd_simulate(args) -> int:
         raise SimtransError(
             f"{args.script_file}: {len(shared)} script lists for {len(sources)} input sentences"
         )
-    if args.record and args.backend == "replay":
-        raise SimtransError("--record cannot wrap the replay backend")
-    # only a run whose every input was accepted leaves an output directory,
-    # and only one that has it truncates an earlier recording
+    jobs = [(idx, k) for idx in range(len(sources)) for k in args.k]
+    if args.backend == "replay":
+        for idx, k in jobs:
+            if (f"{idx:04d}", k) not in shared:
+                raise SimtransError(f"{args.recording}: no trace of session {idx:04d} at k={k}")
+    # only a run whose every input was accepted leaves an output directory
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.record:
-        args.workers = 1  # recording appends sequentially
-        open(args.record, "w", encoding="utf-8").close()
 
     engine_cfg = engine.EngineConfig(
         include_system=not args.no_system_message,
         target_language=args.target_language,
         wall_clock=args.wall_clock,
     )
-    jobs = [(idx, k) for idx in range(len(sources)) for k in args.k]
 
     def run_one(job):
         idx, k = job
         if args.backend == "replay":
-            backend = ReplayBackend(shared)
+            backend = ReplayBackend(shared[f"{idx:04d}", k][1])
         elif args.backend == "scripted":
             backend = ScriptedBackend(shared[idx])
         else:
             backend = shared
-        if args.record:
-            backend = RecordingBackend(args.record, backend)
         try:
             trace = engine.run_session(make_stream(idx), backend, k, engine_cfg)
             failed = False
         except SessionError as exc:
             trace = exc.partial_trace
             failed = True
-        finally:
-            if args.record:
-                backend.close()
         trace.session_id = f"{idx:04d}"
         # written as soon as the session ends, so an aborted run keeps it
         _atomic_write(os.path.join(args.out_dir, f"{idx:04d}_k{k}.json"), trace.to_json() + "\n")
@@ -366,41 +363,55 @@ def _read_trace(path):
     return rec
 
 
+def _read_traces(directory):
+    """{(id, k): (path, record)} of the trace files in directory, in path
+    order, each read by _read_trace; a second trace of one (id, k) is refused."""
+    paths = sorted(glob.glob(os.path.join(directory, "*.json")))
+    if not paths:
+        raise SimtransError(f"no trace files in {directory}")
+    traces = {}
+    for path in paths:
+        rec = _read_trace(path)
+        key = rec["id"], rec["k"]
+        if key in traces:
+            raise SimtransError(f"{path}: trace id {key[0]!r} at k={key[1]} is also in "
+                                f"{traces[key][0]}")
+        traces[key] = path, rec
+    return traces
+
+
 def _trace_events(path, rec):
-    """The event records of one trace, checked for what wait_histogram reads."""
+    """The event records of one trace, checked for what wait_histogram and
+    ReplayBackend read: each kind, the words of reads and writes, the error."""
     events = rec.get("events", [])
     try:
         for e in events:
-            if e["kind"] == "read" and not isinstance(e["word"], str):
+            if e["kind"] not in ("read", "write", "wait", "eos") or (
+                    e["kind"] in ("read", "write") and not isinstance(e["word"], str)):
                 raise TypeError(e)
     except (TypeError, KeyError) as exc:
         raise SimtransError(f"{path}: events must be a list of event records") from exc
+    if not (rec.get("error") is None or isinstance(rec["error"], str)):
+        raise SimtransError(f"{path}: error must be null or a string")
     return events
 
 
 def cmd_evaluate(args) -> int:
-    trace_paths = sorted(glob.glob(os.path.join(args.traces, "*.json")))
-    if not trace_paths:
-        raise SimtransError(f"no trace files in {args.traces}")
-    traces = [(path, _read_trace(path)) for path in trace_paths]
+    traces = _read_traces(args.traces)
     if args.histogram:
         # every input is read before the first output is written
-        event_lists = [_trace_events(path, rec) for path, rec in traces]
+        event_lists = [_trace_events(path, rec) for path, rec in traces.values()]
         function_words = [w.strip() for w in lines(read_text(args.function_words)) if w.strip()]
 
     pairs = _read_pair_file(args.references)
     references = {f"{idx:04d}": (n, tgt) for idx, (n, _, tgt) in enumerate(pairs)}
 
-    # by_k[k][id] = (path, record); one mode per k, one trace per (id, k)
+    # by_k[k][id] = (path, record); one mode per k
     by_k = {}
-    for path, rec in traces:
-        session_id, k = rec["id"], rec["k"]
+    for (session_id, k), (path, rec) in traces.items():
         if session_id not in references:
             raise SimtransError(f"{path}: no reference for trace id {session_id!r}")
         group = by_k.setdefault(k, {})
-        if session_id in group:
-            raise SimtransError(f"{path}: trace id {session_id!r} at k={k} is also in "
-                                f"{group[session_id][0]}")
         first_path, first = next(iter(group.values()), (path, rec))
         if rec["mode"] != first["mode"]:
             raise SimtransError(f"{path}: a {rec['mode']} trace among the {first['mode']} "
@@ -520,8 +531,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dict-file")
     p.add_argument("--script-file")
-    p.add_argument("--recording", help="recording to replay")
-    p.add_argument("--record", help="record backend units to this file")
+    p.add_argument("--recording", help="trace directory of the run to replay")
     p.add_argument("--no-system-message", action="store_true")
     p.add_argument("--wall-clock", action="store_true")
     p.set_defaults(func=cmd_simulate)

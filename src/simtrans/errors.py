@@ -58,7 +58,7 @@ class MalformedResponse(SimtransError):
 
 
 class ReplayMiss(SimtransError):
-    """Replay mode saw a prompt absent from the recording."""
+    """A replayed session asked for a step its trace does not hold."""
 
 
 class DegenerateInput(SimtransError):

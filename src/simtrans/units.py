@@ -21,15 +21,8 @@ class Signal(enum.Enum):
 Unit = Union[str, Signal]
 
 
-def unit_to_str(unit: Unit) -> str:
-    """Serialize a unit to its wire string (words pass through)."""
-    if isinstance(unit, Signal):
-        return unit.value
-    return unit
-
-
 def unit_from_str(s: str) -> Unit:
-    """Inverse of unit_to_str; words never equal the control literals."""
+    """The unit a script string names; words never equal the control literals."""
     if s == Signal.WAIT.value:
         return Signal.WAIT
     if s == Signal.EOS.value:

@@ -242,7 +242,8 @@ def test_criterion_10_reproducibility(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
-    # simulate determinism through the replay backend
+    # simulate determinism through the replay backend: two replays of a
+    # run's traces each write that run's traces again, byte for byte
     sentences = [{"source": f"m{i} n{i} o{i} p{i}", "target": f"M{i} N{i} O{i} P{i}"}
                  for i in range(4)]
     test_set = tmp_path / "test.jsonl"
@@ -250,16 +251,15 @@ def test_criterion_10_reproducibility(tmp_path):
     mapping = {w: w.upper() for s in sentences for w in s["source"].split()}
     dict_file = tmp_path / "dict.json"
     dict_file.write_text(json.dumps(mapping))
-    recording = tmp_path / "rec.jsonl"
-    assert main(["simulate", "--input", str(test_set), "--out-dir", str(tmp_path / "t0"),
-                 "--backend", "dict", "--dict-file", str(dict_file),
-                 "--k", "2", "--record", str(recording)]) == EXIT_OK
-    runs = []
+    recorded = tmp_path / "t0"
+    assert main(["simulate", "--input", str(test_set), "--out-dir", str(recorded),
+                 "--backend", "dict", "--dict-file", str(dict_file), "--k", "2"]) == EXIT_OK
+    original = {p.name: p.read_bytes() for p in recorded.glob("*.json")}
+    assert len(original) == 4
     for name in ("t1", "t2"):
         out_dir = tmp_path / name
         assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
-                     "--backend", "replay", "--recording", str(recording),
+                     "--backend", "replay", "--recording", str(recorded),
                      "--k", "2"]) == EXIT_OK
-        runs.append({p.name: p.read_bytes() for p in out_dir.glob("*.json")})
-    assert runs[0] == runs[1] and len(runs[0]) == 4
+        assert {p.name: p.read_bytes() for p in out_dir.glob("*.json")} == original
     _ok(10, "build-dataset and replay simulate byte-identical across reruns")

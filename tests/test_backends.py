@@ -9,11 +9,8 @@ from simtrans.backends import (
     DictionaryBackend,
     HttpBackend,
     HttpBackendConfig,
-    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
-    load_recording,
-    prompt_hash,
 )
 from simtrans.cli import main as cli_main
 from simtrans.engine import run_session
@@ -23,7 +20,7 @@ from simtrans.errors import (
     ReplayMiss,
     SessionError,
 )
-from simtrans.prompt import build_prompt
+from simtrans.prompt import StepPrompt, build_prompt
 from simtrans.units import Signal
 
 from oracles import prompt_words
@@ -155,49 +152,56 @@ def test_http_config_validation():
         HttpBackendConfig(endpoint_url="u", timeout_ms=0)
 
 
-def test_record_then_replay_identical_trace(tmp_path):
+def test_record_then_replay_identical_trace():
     source = ["a", "b", "c", "d"]
     mapping = {w: w.upper() for w in source}
-    path = tmp_path / "rec.jsonl"
-    recorder = RecordingBackend(path, DictionaryBackend(mapping))
-    first = run_session(source, recorder, k=2)
-    recorder.close()
-
-    replayed = run_session(source, ReplayBackend(load_recording(path)), k=2)
+    first = run_session(source, DictionaryBackend(mapping, lookahead=1), k=2)
+    replayed = run_session(source, ReplayBackend(first.to_record()), k=2)
     assert replayed.to_json() == first.to_json()
 
 
-def test_replay_altered_k_misses(tmp_path):
+def test_replay_altered_k_misses():
     source = ["a", "b", "c"]
-    path = tmp_path / "rec.jsonl"
-    recorder = RecordingBackend(path, DictionaryBackend({w: w for w in source}))
-    run_session(source, recorder, k=1)
-    recorder.close()
-
-    backend = ReplayBackend(load_recording(path))
-    with pytest.raises(SessionError):  # ReplayMiss surfaces as a session failure
-        run_session(source, backend, k=3)
+    trace = run_session(source, DictionaryBackend({w: w for w in source}), k=1)
+    backend = ReplayBackend(trace.to_record())
+    with pytest.raises(SessionError, match="step 1 reveals 3 source words, the trace 1"):
+        run_session(source, backend, k=3)  # ReplayMiss surfaces as a session failure
 
 
-def test_replay_empty_recording(tmp_path):
-    path = tmp_path / "rec.jsonl"
-    path.write_text("")
-    with pytest.raises(ReplayMiss):
-        ReplayBackend(load_recording(path)).next_unit("anything")
+def test_replay_empty_recording():
+    with pytest.raises(ReplayMiss, match="step 1 runs past the 0 units of the trace"):
+        ReplayBackend({"events": [], "error": None}).next_unit(build_prompt([], []))
 
 
-def test_replay_repeated_prompts_in_order(tmp_path):
-    path = tmp_path / "rec.jsonl"
-    h = prompt_hash("same")
-    lines = [
-        {"prompt_sha256": h, "unit": "first"},
-        {"prompt_sha256": h, "unit": "second"},
-    ]
-    path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
-    backend = ReplayBackend(load_recording(path))
-    assert backend.next_unit("same") == "first"
-    assert backend.next_unit("same") == "second"
-    assert backend.next_unit("same") == "second"  # stationary tail
+def test_replay_repeated_prompts_in_order():
+    # a dry stream: the same prompt is asked again after each wait
+    trace = {"events": [{"kind": "read", "word": "a"}, {"kind": "wait"},
+                        {"kind": "write", "word": "first"}, {"kind": "eos"}], "error": None}
+    backend = ReplayBackend(trace)
+    prompt = build_prompt(["a"], [])
+    assert backend.next_unit(prompt) is Signal.WAIT
+    assert backend.next_unit(prompt, allow_wait=False) == "first"
+    assert backend.next_unit(prompt) is Signal.EOS
+    with pytest.raises(ReplayMiss, match="step 4 runs past the 3 units of the trace"):
+        backend.next_unit(prompt)  # a finished trace is not repeated
+
+
+def test_replay_compares_only_the_words_revealed_since_the_last_step():
+    reads = []
+
+    class Words(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    source = [f"w{i}" for i in range(50)]
+    trace = run_session(source, DictionaryBackend({}), k=1).to_record()
+    backend, revealed = ReplayBackend(trace), Words()
+    for word in source:
+        revealed.append(word)
+        assert backend.next_unit(StepPrompt(revealed, [])) == word
+    assert backend.next_unit(StepPrompt(revealed, [])) is Signal.WAIT
+    assert reads == list(range(len(source)))
 
 
 def test_scripted_units_from_strings():

@@ -1,5 +1,4 @@
 import errno
-import hashlib
 import itertools
 import json
 import os
@@ -11,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import simtrans
-from simtrans import aligner
+from simtrans import aligner, cli
+from simtrans.backends import ScriptedBackend
 from simtrans.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY, main
 from simtrans.prompt import build_prompt, interpreter_system_message
 from simtrans.streams import TimedTranscript, write_transcript
@@ -194,8 +194,10 @@ _GOOD_RECORD = {"source": ["a", "b"], "target": ["x", "y"], "links": [[0, 0], [1
     ("links", [[0, 0], [1.0, 1]], "malformed link [1.0, 1]"),
     ("source", ["a", 7], "source must be a list of words"),
     ("target", ["x", None], "target must be a list of words"),
+    ("waits", 3, "waits is 3 but the words hold 0"),
+    ("fillers", 1, "fillers is 1 but the words hold 0"),
 ], ids=["float-and-string-bool", "bool", "numeric-string", "integral-float", "number-word",
-        "null-word"])
+        "null-word", "waits-count", "fillers-count"])
 def test_verify_and_build_dataset_refuse_the_same_record(tmp_path, capsys, field, value,
                                                          problem):
     causal = tmp_path / "causal.jsonl"
@@ -325,29 +327,21 @@ def test_simulate_checks_the_script_file_before_any_session(tmp_path, capsys):
 
 @pytest.mark.parametrize("backend, make_args, message", [
     ("dict", lambda d: ["--dict-file", d / "missing.json"], "missing.json: No such file"),
-    ("replay", lambda d: ["--recording", d / "empty.jsonl", "--record", d / "rec.jsonl"],
-     "--record cannot wrap the replay backend"),
+    ("replay", lambda d: ["--recording", d / "recorded"],
+     "recorded: no trace of session 0001 at k=1"),
 ])
 def test_refused_simulate_leaves_no_out_dir(tmp_path, capsys, backend, make_args, message):
     test_set = tmp_path / "test.jsonl"
     write_jsonl(test_set, [{"source": f"w{i}", "target": f"W{i}"} for i in range(2)])
-    (tmp_path / "empty.jsonl").write_text("")
+    # a recording of sentence 0 alone
+    (tmp_path / "recorded").mkdir()
+    (tmp_path / "recorded" / "0000_k1.json").write_bytes(
+        (GOLDEN / "inference_trace.json").read_bytes())
     out_dir = tmp_path / "traces"
     assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
                  "--backend", backend, "--k", "1", *map(str, make_args(tmp_path))]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
-
-
-def test_simulate_without_out_dir_keeps_the_earlier_recording(tmp_path, capsys):
-    sentences = [{"source": "a b", "target": "A B"}]
-    recording = tmp_path / "rec.jsonl"
-    recording.write_text("earlier\n")
-    (tmp_path / "traces").write_text("")  # a file where the directory should go
-    code, _, _ = _simulate_dict(tmp_path, sentences, k="1", extra=["--record", str(recording)])
-    assert code == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {tmp_path / 'traces'}: File exists\n"
-    assert recording.read_text() == "earlier\n"
 
 
 def test_simulate_http_unreachable(tmp_path, capsys):
@@ -502,6 +496,35 @@ def test_non_string_config_value_is_one_error_line(tmp_path, key, backend):
     assert err == f"error: --{key.replace('_', '-')}: invalid value 5\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+@pytest.mark.parametrize("command", ["build-dataset", "simulate"])
+def test_option_value_that_is_not_utf8_is_one_error_line(tmp_path, monkeypatch, source,
+                                                         command):
+    # argv and the environment decode the byte 0xff to the lone surrogate
+    # '\udcff', which no UTF-8 output file can hold
+    out = tmp_path / "out"
+    argv = {
+        "build-dataset": ["build-dataset", "--input", GOLDEN / "toy_align_causal.jsonl",
+                          "--output", out],
+        "simulate": ["simulate", "--input", FIXTURES / "evaluate" / "test.jsonl",
+                     "--out-dir", out, "--backend", "dict",
+                     "--dict-file", FIXTURES / "evaluate" / "dict.json"],
+    }[command]
+    expected = "error: --target-language: invalid value '\\udcff'\n"
+    if source == "flag":
+        argv += ["--target-language", "\udcff"]
+    elif source == "environment":
+        monkeypatch.setenv("SIMTRANS_TARGET_LANGUAGE", "\udcff")
+    else:
+        # JSON spells a lone surrogate only as an escape, which every JSON input refuses
+        config = tmp_path / "cfg.json"
+        config.write_text('{"target_language": "\\udcff"}')
+        argv = ["--config", config, *argv]
+        expected = f"error: {config}: line 1: unpaired surrogate \\udcff\n"
+    assert run_cli(*argv) == (EXIT_USAGE, expected)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, flag, command", [
     pytest.param({"workers": True}, "workers", "simulate", id="workers-true"),
     pytest.param({"workers": 2.5}, "workers", "simulate", id="workers-2.5"),
@@ -590,7 +613,7 @@ _FLAGS = {
     ("align",): "--input --output --alignments --iterations",
     ("build-dataset",): "--input --output --meta --seed --samples-per-pair --target-language",
     ("simulate",): "--input --out-dir --k --mode --backend --dict-file --lookahead "
-                   "--script-file --recording --record --endpoint --model --api-key-env "
+                   "--script-file --recording --endpoint --model --api-key-env "
                    "--top-p --max-unit-tokens --timeout-ms --retries --workers --window-ms "
                    "--target-language --no-system-message --wall-clock",
     ("evaluate",): "--traces --references --report --curve --histogram --function-words "
@@ -628,6 +651,13 @@ _MISSING = object()  # the key is taken out of the record
 # case -> (fields written over a good text trace of "a b c", expected error)
 _CORRUPT_FIELDS = {
     "events-not-records": ({"events": [1]}, "events must be a list of event records"),
+    "event-kind-unknown": (
+        {"events": [{"kind": "jump"}]}, "events must be a list of event records",
+    ),
+    "write-word-number": (
+        {"events": [{"kind": "write", "word": 5}]}, "events must be a list of event records",
+    ),
+    "error-number": ({"error": 5}, "error must be null or a string"),
     "k-string": ({"k": "1"}, "k must be an integer"),
     "k-list": ({"k": [1]}, "k must be an integer"),
     "hypothesis-not-words": ({"hypothesis": [1, 2, 3]}, "hypothesis must be a list of words"),
@@ -798,6 +828,7 @@ _WORD_AT_100MS = {"w": "a", "end_ms": 100.0}
 _BLANK_SOURCE = json.dumps({"source": "   ", "target": "x"})
 _NOT_UTF8 = b"\r\n\xff"  # a bad byte on line 2, after a CRLF line end
 _DIRECTORY = object()  # the path is made a directory instead of a file
+_GOLDEN_TRACE = json.loads((GOLDEN / "inference_trace.json").read_text(encoding="utf-8"))
 _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "alignments",
             "simulate-input", "align-input", "function-words", "trace", "references", "verify"]
 
@@ -810,7 +841,7 @@ _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "al
     ("script", _NOT_JSON),
     ("script", "[1]"),
     ("recording", _NOT_JSON),
-    ("recording", '{"x": 1}'),
+    ("recording", json.dumps({**_GOLDEN_TRACE, "events": [{"kind": "jump"}]})),
     ("transcript", _NOT_JSON),
     ("transcript", json.dumps({"words": [{"w": "a"}], "total_ms": 100.0})),
     ("transcript", json.dumps({"words": [_WORD_AT_100MS, _WORD_AT_100MS], "total_ms": 100.0})),
@@ -828,7 +859,7 @@ _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "al
     ("out-dir", ""),
     *((reader, _NOT_UTF8) for reader in _READERS),
 ], ids=["config-not-json", "config-list", "dict-not-json", "dict-list", "script-not-json",
-        "script-not-lists", "recording-not-json", "recording-no-hash", "transcript-not-json",
+        "script-not-lists", "recording-not-json", "recording-bad-event", "transcript-not-json",
         "transcript-no-end", "transcript-not-increasing", "transcript-total-string",
         "transcript-total-negative", "transcript-word-number", "transcript-word-spaced",
         "transcript-word-marker", "causal-not-json", "alignments-bad-token",
@@ -840,8 +871,11 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
     bad = tmp_path / "bad.json"
     (tmp_path / "audio").mkdir()
     (tmp_path / "traces").mkdir()
+    (tmp_path / "recording").mkdir()
     if reader == "transcript":
         bad = tmp_path / "audio" / "0000.json"
+    if reader == "recording":
+        bad = tmp_path / "recording" / "0000_k1.json"
     if reader == "trace":
         bad = tmp_path / "traces" / "0000_k1.json"
     else:  # one good trace for evaluate to read
@@ -862,7 +896,7 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
                    "--output", tmp_path / "c.jsonl"],
         "dict": [*simulate, "--backend", "dict", "--dict-file", bad],
         "script": [*simulate, "--backend", "scripted", "--script-file", bad],
-        "recording": [*simulate, "--backend", "replay", "--recording", bad],
+        "recording": [*simulate, "--backend", "replay", "--recording", tmp_path / "recording"],
         "transcript": ["simulate", "--input", tmp_path / "audio", "--out-dir", tmp_path / "o",
                        "--mode", "speech", "--backend", "dict",
                        "--dict-file", FIXTURES / "evaluate" / "dict.json"],
@@ -933,70 +967,144 @@ def test_verify_empty_file(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
+def _trace_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in Path(out_dir).glob("*.json")}
+
+
+def _replay(test_set, recording, out_dir, *extra):
+    """(exit code, trace bytes by file name) of a replay of recording."""
+    code = main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
+                 "--backend", "replay", "--recording", str(recording), *map(str, extra)])
+    return code, _trace_bytes(out_dir)
+
+
 def test_replay_reproducibility(tmp_path):
     sentences = [{"source": f"p{i} q{i} r{i}", "target": f"P{i} Q{i} R{i}"}
                  for i in range(3)]
-    test_set = tmp_path / "test.jsonl"
-    write_jsonl(test_set, sentences)
-    mapping = {w: w.upper() for rec in sentences for w in rec["source"].split()}
-    dict_file = tmp_path / "dict.json"
-    dict_file.write_text(json.dumps(mapping))
-    recording = tmp_path / "rec.jsonl"
-
-    assert main(["simulate", "--input", str(test_set), "--out-dir",
-                 str(tmp_path / "t0"), "--backend", "dict", "--dict-file",
-                 str(dict_file), "--k", "1,2", "--record", str(recording)]) == EXIT_OK
-
-    def replay(out_dir):
-        assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
-                     "--backend", "replay", "--recording", str(recording),
-                     "--k", "1,2"]) == EXIT_OK
-        return {p.name: p.read_bytes() for p in Path(out_dir).glob("*.json")}
-
-    first = replay(tmp_path / "t1")
-    second = replay(tmp_path / "t2")
-    assert first == second
-    assert first == {p.name: p.read_bytes() for p in (tmp_path / "t0").glob("*.json")}
+    code, recorded, test_set = _simulate_dict(tmp_path, sentences, k="1,2")
+    assert code == EXIT_OK
+    first = _replay(test_set, recorded, tmp_path / "t1", "--k", "1,2")
+    second = _replay(test_set, recorded, tmp_path / "t2", "--k", "1,2")
+    assert first == second == (EXIT_OK, _trace_bytes(recorded))
 
 
 def test_record_then_replay_byte_identical(tmp_path):
+    # one sentence per way a session ends: end-of-sentence (twice), a script
+    # exhausted, an invalid word unit and the engine's livelock guard
     test_set = tmp_path / "test.jsonl"
     write_jsonl(test_set, [{"source": "grüß dich", "target": "hi there"},
-                           {"source": "a b c", "target": "x y z"}])
+                           {"source": "a b c", "target": "x y z"},
+                           {"source": "d e", "target": "p"},
+                           {"source": "f", "target": "q"},
+                           {"source": "g h", "target": "r"}])
     script_file = tmp_path / "script.json"
     script_file.write_text(json.dumps([["<WAIT>", "hallö", "<EOS>"],
-                                       ["x", "<WAIT>", "y", "z", "<EOS>"]]))
-    recording = tmp_path / "rec.jsonl"
-    recording.write_text("stale line from an earlier run\n")
-
-    def simulate(out_dir, *backend):
-        assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
-                     "--k", "1", *backend]) == EXIT_OK
-        return {p.name: p.read_bytes() for p in out_dir.glob("*.json")}
-
-    recorded = simulate(tmp_path / "rec", "--backend", "scripted", "--script-file",
-                        str(script_file), "--record", str(recording))
-    replayed = simulate(tmp_path / "rep", "--backend", "replay", "--recording", str(recording))
-    assert len(recorded) == 2 and replayed == recorded
-
-    # one line per backend call, in call order, the prompt hashed
-    system = interpreter_system_message()
-    calls = [
-        ((["grüß"], []), "<WAIT>"), ((["grüß", "dich"], []), "hallö"),
-        ((["grüß", "dich"], ["hallö"]), "<EOS>"),
-        ((["a"], []), "x"), ((["a", "b"], ["x"]), "<WAIT>"),
-        ((["a", "b", "c"], ["x"]), "y"), ((["a", "b", "c"], ["x", "y"]), "z"),
-        ((["a", "b", "c"], ["x", "y", "z"]), "<EOS>"),
+                                       ["x", "<WAIT>", "y", "z", "<EOS>"],
+                                       ["p"], ["q r"], ["<WAIT>"] * 5]))
+    assert main(["simulate", "--input", str(test_set), "--out-dir", str(tmp_path / "rec"),
+                 "--k", "1", "--backend", "scripted",
+                 "--script-file", str(script_file)]) == EXIT_PARTIAL
+    recorded = _trace_bytes(tmp_path / "rec")
+    assert [json.loads(recorded[name])["error"] for name in sorted(recorded)] == [
+        None, None, "script exhausted after 1 units",
+        "backend returned invalid word unit 'q r'",
+        "backend kept waiting after source exhaustion",
     ]
-    expected = "".join(
-        '{"prompt_sha256": "%s", "unit": "%s"}\n'
-        % (hashlib.sha256(build_prompt(src, tgt, system).encode()).hexdigest(), unit)
-        for (src, tgt), unit in calls
-    )
-    assert recording.read_text(encoding="utf-8") == expected
+    assert _replay(test_set, tmp_path / "rec", tmp_path / "rep", "--k", "1") == (
+        EXIT_PARTIAL, recorded)
 
 
-def test_target_language_reaches_samples_meta_and_simulate(tmp_path):
+def test_replay_of_a_partial_run_writes_the_same_traces_with_any_workers(tmp_path):
+    # two fixture sentences hit an empty dictionary entry, so 4 of 16 sessions fail
+    fixture = FIXTURES / "evaluate"
+    assert main(["simulate", "--input", str(fixture / "test.jsonl"),
+                 "--out-dir", str(tmp_path / "recorded"), "--backend", "dict",
+                 "--dict-file", str(fixture / "dict.json"), "--k", "1,3"]) == EXIT_PARTIAL
+    recorded = _trace_bytes(tmp_path / "recorded")
+    assert len(recorded) == 16
+    assert sum(b'"finished": false' in trace for trace in recorded.values()) == 4
+    for workers in ("1", "4"):
+        assert _replay(fixture / "test.jsonl", tmp_path / "recorded", tmp_path / workers,
+                       "--k", "1,3", "--workers", workers) == (EXIT_PARTIAL, recorded)
+
+
+def test_replay_refuses_a_changed_source_word(tmp_path):
+    sentences = [{"source": "a b c d", "target": "A B C D"}, {"source": "e f", "target": "E F"}]
+    code, recorded, _ = _simulate_dict(tmp_path, sentences, k="1")
+    assert code == EXIT_OK
+    changed = tmp_path / "changed.jsonl"
+    write_jsonl(changed, [{"source": "a b x d", "target": "A B C D"}, sentences[1]])
+    code, replayed = _replay(changed, recorded, tmp_path / "rep", "--k", "1")
+    assert code == EXIT_PARTIAL
+    assert json.loads(replayed["0000_k1.json"])["error"] == (
+        "step 3 reveals other source words than the trace")
+    assert replayed["0001_k1.json"] == (recorded / "0001_k1.json").read_bytes()
+
+
+def test_replay_refuses_to_run_past_a_finished_trace(tmp_path):
+    code, recorded, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}],
+                                              k="1")
+    assert code == EXIT_OK
+    path = recorded / "0000_k1.json"
+    trace = json.loads(path.read_text(encoding="utf-8"))
+    assert trace["events"].pop()["kind"] == "eos"
+    path.write_text(json.dumps(trace), encoding="utf-8")
+    code, replayed = _replay(test_set, recorded, tmp_path / "rep", "--k", "1")
+    assert code == EXIT_PARTIAL
+    assert json.loads(replayed["0000_k1.json"])["error"] == (
+        "step 4 runs past the 3 units of the trace")
+
+
+def test_replay_at_another_window_serves_the_same_units_at_its_clocks(tmp_path):
+    # a speech session reveals one word per read whatever the window; the
+    # window sets only the clock stamps, which no prompt holds, so replay
+    # gives what the backend itself gives at the new window
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    words = [{"w": w, "end_ms": 100.0 * (n + 1)} for n, w in enumerate("abcdef")]
+    write_transcript(TimedTranscript(words=words, total_ms=600.0), audio / "0000.json")
+    dict_file = tmp_path / "dict.json"
+    dict_file.write_text(json.dumps({w: w.upper() for w in "abcdef"}))
+
+    def simulate(out_dir, *extra):
+        assert main(["simulate", "--input", str(audio), "--mode", "speech", "--k", "2",
+                     "--out-dir", str(out_dir), *extra]) == EXIT_OK
+        return _trace_bytes(out_dir)
+
+    at_200 = simulate(tmp_path / "at_200", "--dict-file", str(dict_file), "--window-ms", "200")
+    at_100 = simulate(tmp_path / "at_100", "--dict-file", str(dict_file), "--window-ms", "100")
+    replayed = simulate(tmp_path / "rep", "--backend", "replay",
+                        "--recording", str(tmp_path / "at_200"), "--window-ms", "100")
+    assert replayed == at_100 != at_200
+
+
+def test_replay_refuses_a_second_trace_of_one_session(tmp_path, capsys):
+    code, recorded, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}],
+                                              k="1")
+    assert code == EXIT_OK
+    copy = recorded / "0000_k1_copy.json"
+    copy.write_bytes((recorded / "0000_k1.json").read_bytes())
+    capsys.readouterr()
+    assert _replay(test_set, recorded, tmp_path / "rep", "--k", "1") == (EXIT_USAGE, {})
+    assert capsys.readouterr().err == (
+        f"error: {copy}: trace id '0000' at k=1 is also in {recorded / '0000_k1.json'}\n")
+    assert not (tmp_path / "rep").exists()
+
+
+def _prompts_seen(monkeypatch):
+    """The str(prompt) of each scripted backend call that simulate makes."""
+    seen = []
+
+    class Watching(ScriptedBackend):
+        def next_unit(self, prompt, allow_wait=True):
+            seen.append(str(prompt))
+            return super().next_unit(prompt, allow_wait)
+
+    monkeypatch.setattr(cli, "ScriptedBackend", Watching)
+    return seen
+
+
+def test_target_language_reaches_samples_meta_and_simulate(tmp_path, monkeypatch):
     # a model fine-tuned on these samples is prompted with the same system message
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"target_language": "Russian"}))
@@ -1013,31 +1121,26 @@ def test_target_language_reaches_samples_meta_and_simulate(tmp_path):
     write_jsonl(test_set, [{"source": "grüß dich", "target": "hi there"}])
     script_file = tmp_path / "script.json"
     script_file.write_text(json.dumps([["<WAIT>", "hallö", "<EOS>"]]))
-    recording = tmp_path / "rec.jsonl"
+    prompts = _prompts_seen(monkeypatch)
     assert main(["--config", str(config), "simulate", "--input", str(test_set),
                  "--out-dir", str(tmp_path / "traces"), "--k", "1",
-                 "--backend", "scripted", "--script-file", str(script_file),
-                 "--record", str(recording)]) == EXIT_OK
-    first_call = json.loads(recording.read_text(encoding="utf-8").splitlines()[0])
-    prompt = build_prompt(["grüß"], [], sys_block)
-    assert first_call["prompt_sha256"] == hashlib.sha256(prompt.encode()).hexdigest()
+                 "--backend", "scripted", "--script-file", str(script_file)]) == EXIT_OK
+    assert prompts[0] == build_prompt(["grüß"], [], sys_block)
 
 
-def test_simulate_target_language_flag_beats_config(tmp_path):
+def test_simulate_target_language_flag_beats_config(tmp_path, monkeypatch):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"target_language": "Russian"}))
     test_set = tmp_path / "test.jsonl"
     write_jsonl(test_set, [{"source": "a", "target": "x"}])
     script_file = tmp_path / "script.json"
     script_file.write_text(json.dumps([["x", "<EOS>"]]))
-    recording = tmp_path / "rec.jsonl"
+    prompts = _prompts_seen(monkeypatch)
     assert main(["--config", str(config), "simulate", "--input", str(test_set),
                  "--out-dir", str(tmp_path / "traces"), "--k", "1",
                  "--backend", "scripted", "--script-file", str(script_file),
-                 "--record", str(recording), "--target-language", "French"]) == EXIT_OK
-    first_call = json.loads(recording.read_text(encoding="utf-8").splitlines()[0])
-    prompt = build_prompt(["a"], [], interpreter_system_message("French"))
-    assert first_call["prompt_sha256"] == hashlib.sha256(prompt.encode()).hexdigest()
+                 "--target-language", "French"]) == EXIT_OK
+    assert prompts[0] == build_prompt(["a"], [], interpreter_system_message("French"))
 
 
 def test_cli_imports_without_requests():
