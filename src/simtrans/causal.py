@@ -117,10 +117,15 @@ def pair_to_record(pair: CausalPair) -> dict:
     }
 
 
+_NOT_AN_OBJECT = "a record must be a JSON object"
+
+
 def pair_from_record(record: dict, line_no: int = None, path=None) -> CausalPair:
     """The pair a record holds: source and target lists of words, links
     inside the unpadded sentences, and optional waits and fillers counts
     equal to the markers its words hold."""
+    if not isinstance(record, dict):
+        raise ParseError(_NOT_AN_OBJECT, line_no, path)
     try:
         source, target = record["source"], record["target"]
         links = {(i, j) for i, j in record["links"]}
@@ -158,12 +163,14 @@ def read_corpus(path) -> list:
     return [pair_from_record(record, n, path) for n, record in read_jsonl(path)]
 
 
-def verify_pair(record: dict) -> list:
+def verify_pair(record) -> list:
     """Re-derive the causal invariants from the raw record fields.
 
     Returns a list of violation strings (empty = pass). Deliberately avoids
     CausalPair bookkeeping: everything is recomputed from source/target/links.
     """
+    if not isinstance(record, dict):
+        return [_NOT_AN_OBJECT]
     problems = []
     source = record.get("source")
     target = record.get("target")

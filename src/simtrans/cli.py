@@ -328,6 +328,12 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
+_STR = frozenset((str,))
+# the event kinds of a trace: a read or write names its word, a wait or eos none
+_WORD_EVENTS = frozenset(("read", "write"))
+_BARE_EVENTS = frozenset(("wait", "eos"))
+
+
 def _read_trace(path):
     """One trace record with each field evaluate scores checked (delays by
     metrics.DelaySequence, events by _trace_events), or an error naming the file."""
@@ -344,7 +350,7 @@ def _read_trace(path):
     for ok, problem in (
         (isinstance(rec.get("id"), str), "id must be a string"),
         (type(rec["k"]) is int, "k must be an integer"),
-        (isinstance(hypothesis, list) and all(isinstance(w, str) for w in hypothesis),
+        (isinstance(hypothesis, list) and _STR.issuperset(map(type, hypothesis)),
          "hypothesis must be a list of words"),
         (rec["mode"] in ("text", "speech"), "mode must be text or speech"),
         (isinstance(delays, list) and isinstance(hypothesis, list)
@@ -386,8 +392,11 @@ def _trace_events(path, rec):
     events = rec.get("events", [])
     try:
         for e in events:
-            if e["kind"] not in ("read", "write", "wait", "eos") or (
-                    e["kind"] in ("read", "write") and not isinstance(e["word"], str)):
+            kind = e["kind"]
+            if kind in _WORD_EVENTS:
+                if type(e["word"]) is not str:  # JSON decodes a string as str itself
+                    raise TypeError(e)
+            elif kind not in _BARE_EVENTS:
                 raise TypeError(e)
     except (TypeError, KeyError) as exc:
         raise SimtransError(f"{path}: events must be a list of event records") from exc
@@ -418,15 +427,16 @@ def cmd_evaluate(args) -> int:
                                 f"traces at k={k}, such as {first_path}")
         group[session_id] = (path, rec)
 
-    # each reference is tokenized once, however many k groups score it, and
-    # each distinct 13a chunk once per run (memo lives for this call only)
+    # every session of the run is scored in one score_sessions call, so each
+    # reference is tokenized and counted once however many k groups score it,
+    # and each distinct 13a chunk is split once (memo lives for this call only)
     memo = {}
     ref_tokens = []
     ref_cache = {}
-    reports = {}
-    bootstrap = {}
+    delay_seqs, hyp_tokens, ref_index = [], [], []
+    groups = []  # (k, first row, end row, unit, rtf)
     for k, group in sorted(by_k.items()):
-        delay_seqs, hyp_tokens, ref_index = [], [], []
+        start = len(delay_seqs)
         total_processing = 0.0
         total_audio = 0.0
         timed = True
@@ -457,11 +467,16 @@ def cmd_evaluate(args) -> int:
                 total_audio += rec["source_total"]
         unit = "ms" if speech else "words"  # every trace of a group has one mode
         rtf = metrics.real_time_factor(total_processing, total_audio) if timed else None
-        scores = metrics.score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index)
-        reports[k] = metrics.aggregate_report(scores, unit=unit, rtf=rtf)
+        groups.append((k, start, len(delay_seqs), unit, rtf))
+
+    scores = metrics.score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index)
+    reports = {}
+    bootstrap = {}
+    for k, start, end, unit, rtf in groups:
+        reports[k] = metrics.aggregate_report(scores[start:end], unit=unit, rtf=rtf)
         if args.bootstrap:
             bootstrap[k] = metrics.bootstrap_reports(
-                scores, args.bootstrap, make_rng(args.seed), unit=unit, rtf=rtf
+                scores[start:end], args.bootstrap, make_rng(args.seed), unit=unit, rtf=rtf
             )
 
     # every group is scored before the first line is printed

@@ -29,6 +29,8 @@ kind (read | write | wait | eos), the stream clock after the event, word
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring
 
 from .errors import SessionError, SimtransError, WaitOverflow
 from .prompt import DEFAULT_TARGET_LANGUAGE, StepPrompt, interpreter_system_message
@@ -36,6 +38,7 @@ from .streams import SourceStream, TextStream
 from .units import Signal, WAIT_TOKEN
 
 MAX_SUPPRESSED_WAITS = 3
+_WAIT, _EOS = Signal.WAIT, Signal.EOS
 
 
 @dataclass
@@ -81,7 +84,66 @@ class SessionTrace:
         return rec
 
     def to_json(self) -> str:
-        return json.dumps(self.to_record(), ensure_ascii=False)
+        """json.dumps(self.to_record(), ensure_ascii=False), the events
+        written by template when each has a shape and values the engine writes."""
+        rec = self.to_record()
+        events = _events_json(rec["events"])
+        if events is None:
+            return json.dumps(rec, ensure_ascii=False)
+        del rec["events"]
+        processing_ms = rec.pop("processing_ms", None)  # the key after events
+        text = json.dumps(rec, ensure_ascii=False)[:-1] + ', "events": ' + events
+        if processing_ms is not None:
+            text += ', "processing_ms": ' + json.dumps(processing_ms)
+        return text + "}"
+
+
+# The keys of each event the engine writes without a wall clock, and the
+# json.dumps text of its values: json writes an int or a finite float as its
+# repr, and a str as encode_basestring escapes it.
+_READ = ("kind", "clock", "word")
+_WRITE = ("kind", "clock", "word", "g")
+_BARE = ("kind", "clock")
+_READ_JSON = '{"kind": "read", "clock": %r, "word": %s}'
+_WRITE_JSON = '{"kind": "write", "clock": %r, "word": %s, "g": %r}'
+_BARE_JSON = '{"kind": "%s", "clock": %r}'
+
+
+def _events_json(events):
+    """json.dumps(events, ensure_ascii=False) when each event is a read,
+    write, wait or eos with the engine's keys in the engine's order and its
+    numbers are ints or finite floats; None for anything else."""
+    if type(events) is not list:
+        return None
+    enc = encode_basestring
+    parts = []
+    add = parts.append
+    try:
+        for e in events:
+            keys = tuple(e)
+            kind = e["kind"]
+            clock = e["clock"]
+            # a bool, a float subclass, a NaN or an infinity is written otherwise
+            if type(clock) is not int and (type(clock) is not float or clock - clock):
+                return None
+            if keys == _READ and kind == "read":
+                add(_READ_JSON % (clock, enc(e["word"])))
+            elif keys == _WRITE and kind == "write":
+                g = e["g"]
+                if type(g) is not int and (type(g) is not float or g - g):
+                    return None
+                add(_WRITE_JSON % (clock, enc(e["word"]), g))
+            elif keys == _BARE and (kind == "wait" or kind == "eos"):
+                add(_BARE_JSON % (kind, clock))
+            else:
+                return None  # another shape, wall_ms included
+    except (TypeError, KeyError):  # no dict, no kind or clock, a word that is no str
+        return None
+    return "[" + ", ".join(parts) + "]"
+
+
+def _ms_since(started):
+    return (time.monotonic() - started) * 1000.0
 
 
 def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTrace:
@@ -100,20 +162,11 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
         interpreter_system_message(cfg.target_language) if cfg.include_system else None
     )
     started = time.monotonic() if cfg.wall_clock else None
-
-    def now_ms():
-        return (time.monotonic() - started) * 1000.0 if started is not None else None
-
-    def record(event):
-        if started is not None:
-            event["wall_ms"] = now_ms()
-        events.append(event)
-
     stream = iter(source)
     total = source.total_clock
+    next_unit = backend.next_unit
     revealed, committed, delays, events = [], [], [], []
     clock = 0.0
-    exhausted = False
 
     def make_trace(error=None):
         return SessionTrace(
@@ -125,45 +178,26 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
             source_total=total if total is not None else clock,
             events=list(events),
             error=error,
-            processing_ms=now_ms(),
+            processing_ms=None if started is None else _ms_since(started),
         )
 
-    def read_one() -> bool:
-        nonlocal clock, exhausted
-        if exhausted:
-            return False
-        item = next(stream, None)
-        if item is None:
-            exhausted = True
-            return False
-        word, stamp = item
-        revealed.append(word)
-        clock = stamp
-        record({"kind": "read", "clock": clock, "word": word})
-        return True
-
-    for _ in range(k):
-        if not read_one():
-            break
-
+    to_read = k        # source words to reveal before the next step
+    exhausted = False  # the stream has ended; reveals are no-ops from then on
+    unit = None
     suppress_wait = False
     suppressed_run = 0
     while True:
-        prompt = StepPrompt(revealed, committed, system_message)
-        try:
-            unit = backend.next_unit(prompt, allow_wait=not suppress_wait)
-        except SimtransError as exc:
-            raise SessionError(str(exc), partial_trace=make_trace(error=str(exc))) from exc
-
-        if unit is Signal.EOS:
-            record({"kind": "eos", "clock": clock})
-            return make_trace()
-
-        if unit is Signal.WAIT:
-            record({"kind": "wait", "clock": clock})
-            if read_one():
-                continue
-            # stream is dry: this wait revealed nothing
+        seen = len(revealed)
+        if not exhausted:
+            for word, clock in islice(stream, to_read):
+                revealed.append(word)
+                event = {"kind": "read", "clock": clock, "word": word}
+                if started is not None:
+                    event["wall_ms"] = _ms_since(started)
+                events.append(event)
+            exhausted = len(revealed) - seen < to_read
+        if unit is _WAIT and len(revealed) == seen:
+            # the stream is dry: the last wait revealed nothing
             if suppress_wait:
                 suppressed_run += 1
                 if suppressed_run >= MAX_SUPPRESSED_WAITS:
@@ -172,20 +206,35 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
             else:
                 suppress_wait = True
                 suppressed_run = 0
-            continue
 
-        word = unit
-        # a word is non-empty and holds no whitespace: it splits to itself
-        if not isinstance(word, str) or word.split() != [word]:
-            err = f"backend returned invalid word unit {word!r}"
-            raise SessionError(err, partial_trace=make_trace(error=err))
-        if word == WAIT_TOKEN:
-            err = "backend returned the wait literal as a word unit"
-            raise SessionError(err, partial_trace=make_trace(error=err))
-        committed.append(word)
-        g = clock if total is None else min(clock, total)
-        delays.append(g)
-        record({"kind": "write", "clock": clock, "word": word, "g": g})
-        suppress_wait = False
-        suppressed_run = 0
-        read_one()
+        prompt = StepPrompt(revealed, committed, system_message)
+        try:
+            unit = next_unit(prompt, allow_wait=not suppress_wait)
+        except SimtransError as exc:
+            raise SessionError(str(exc), partial_trace=make_trace(error=str(exc))) from exc
+        to_read = 1
+
+        if unit is _WAIT:
+            event = {"kind": "wait", "clock": clock}
+        elif unit is _EOS:
+            event = {"kind": "eos", "clock": clock}
+        else:
+            word = unit
+            # a word is non-empty and holds no whitespace: it splits to itself
+            if not isinstance(word, str) or word.split() != [word]:
+                err = f"backend returned invalid word unit {word!r}"
+                raise SessionError(err, partial_trace=make_trace(error=err))
+            if word == WAIT_TOKEN:
+                err = "backend returned the wait literal as a word unit"
+                raise SessionError(err, partial_trace=make_trace(error=err))
+            committed.append(word)
+            g = clock if total is None else min(clock, total)
+            delays.append(g)
+            event = {"kind": "write", "clock": clock, "word": word, "g": g}
+            suppress_wait = False
+            suppressed_run = 0
+        if started is not None:
+            event["wall_ms"] = _ms_since(started)
+        events.append(event)
+        if unit is _EOS:
+            return make_trace()

@@ -15,7 +15,8 @@ audio in speech mode) consumed when hypothesis word t was committed.
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,16 +42,18 @@ class DelaySequence:
             for v in self.g:
                 if isinstance(v, bool) or not isinstance(v, _REAL_TYPES):
                     raise TypeError(f"delays must be numbers, got {v!r}")
-        self.g = [float(v) for v in self.g]
-        if not self.g:
+        g = self.g = list(map(float, self.g))
+        if not g:
             return
         if not math.isfinite(self.source_len):
             raise ValueError("the source length must be finite")
         if self.source_len <= 0:
             raise ValueError("the source length must be positive")
+        # NaN fails every comparison, so a sequence that passes is finite too
+        if 0.0 <= g[0] and g[-1] <= self.source_len and all(map(operator.le, g, g[1:])):
+            return
         prev = 0.0
-        for v in self.g:
-            # NaN fails this too: it compares false with everything
+        for v in g:
             if not prev <= v:
                 raise ValueError("delays must be finite" if not math.isfinite(v)
                                  else "delays must not be negative" if v < 0
@@ -66,51 +69,63 @@ class DelaySequence:
         return len(self.g)
 
 
-def _check(d: DelaySequence):
-    if not d.g:
+def _lags(d: DelaySequence):
+    """(AL, LAAL, DAL, truncated) of d in one walk over g; LAAL is None
+    without a reference length, and truncated means g never reached |x|.
+
+    AL and LAAL add g(t) - (t-1)/gamma for t up to tau, DAL adds
+    g'(t) - (t-1)/gamma for every t, each left to right from 0.0.
+    """
+    g, source_len, ref_len = d.g, d.source_len, d.ref_len
+    if not g:
         raise DegenerateInput("empty hypothesis")
+    n = len(g)
+    gamma = n / source_len
+    gamma_laal = max(n, ref_len) / source_len if ref_len is not None else gamma
+    step = 1.0 / gamma
+    al = laal = dal = 0.0
+    tau = 0
+    g_prime = -math.inf  # so that g'(1) = max(g(1), -inf + step) = g(1)
+    for t, v in enumerate(g):  # t is the 1-based t minus one
+        lag = t / gamma
+        if not tau:
+            al += v - lag
+            laal += v - t / gamma_laal
+            if v >= source_len:
+                tau = t + 1
+        g_prime += step
+        if not g_prime > v:  # g'(t) = max(g(t), g'(t-1) + step), g(t) on a tie
+            g_prime = v
+        dal += g_prime - lag
+    truncated = not tau
+    tau = tau or n
+    return al / tau, laal / tau if ref_len is not None else None, dal / n, truncated
 
 
 def average_proportion(d: DelaySequence) -> float:
-    _check(d)
+    if not d.g:
+        raise DegenerateInput("empty hypothesis")
+    # sum, not a loop: Python 3.12's float sum is compensated
     return sum(d.g) / (d.source_len * d.hyp_len)
 
 
-def _lagging(d: DelaySequence, gamma: float) -> float:
-    tau = next((t for t, g in enumerate(d.g, start=1) if g >= d.source_len), d.hyp_len)
-    acc = 0.0
-    for t in range(1, tau + 1):
-        acc += d.g[t - 1] - (t - 1) / gamma
-    return acc / tau
-
-
 def average_lagging(d: DelaySequence) -> float:
-    _check(d)
-    return _lagging(d, d.hyp_len / d.source_len)
+    return _lags(d)[0]
 
 
 def length_adaptive_al(d: DelaySequence) -> float:
-    _check(d)
-    if d.ref_len is None:
+    if d.g and d.ref_len is None:
         raise DegenerateInput("reference length required")
-    return _lagging(d, max(d.hyp_len, d.ref_len) / d.source_len)
+    return _lags(d)[1]
 
 
 def differentiable_al(d: DelaySequence) -> float:
-    _check(d)
-    gamma = d.hyp_len / d.source_len
-    acc = 0.0
-    g_prev = None
-    for t, g in enumerate(d.g, start=1):
-        g_prime = g if g_prev is None else max(g, g_prev + 1.0 / gamma)
-        acc += g_prime - (t - 1) / gamma
-        g_prev = g_prime
-    return acc / d.hyp_len
+    return _lags(d)[2]
 
 
 def is_truncated(d: DelaySequence) -> bool:
     """True when g never reaches the source length (tau fell back to |y|)."""
-    return all(g < d.source_len for g in d.g)
+    return not d.g or _lags(d)[3]
 
 
 def real_time_factor(processing_ms: float, audio_ms: float) -> float:
@@ -193,13 +208,18 @@ class SessionScores:
     def __len__(self):
         return len(self.scored)
 
+    def __getitem__(self, rows: slice) -> "SessionScores":
+        """The scores of a range of sessions, as views of these arrays."""
+        return SessionScores(*(getattr(self, f.name)[rows] for f in fields(self)))
+
 
 def score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index) -> SessionScores:
     """Count and time every session once.
 
     Session i's hypothesis is the 13a token list hyp_tokens[i] and its
-    reference ref_tokens[ref_index[i]], so a caller scoring the same
-    references in several groups tokenizes each of them only once.
+    reference ref_tokens[ref_index[i]], so a reference shared by many
+    sessions is tokenized and counted once. A caller scoring several groups
+    passes them all at once and reports on each group's range of rows.
     """
     if len(delay_seqs) != len(hyp_tokens):
         raise InputMismatch("delay and hypothesis counts differ")
@@ -211,9 +231,10 @@ def score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index) -> SessionScor
     for i, d in enumerate(delay_seqs):
         if d.g:
             scored[i] = True
-            truncated[i] = is_truncated(d)
-            latency[:, i] = (average_lagging(d), length_adaptive_al(d),
-                             average_proportion(d), differentiable_al(d))
+            al, laal, dal, truncated[i] = _lags(d)
+            if laal is None:
+                raise DegenerateInput("reference length required")
+            latency[:, i] = al, laal, average_proportion(d), dal
     al, laal, ap, dal = latency
     return SessionScores(bleu_stats, al, laal, ap, dal, scored, truncated)
 

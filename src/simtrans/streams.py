@@ -8,6 +8,7 @@ to clip it mid-phoneme. Once the full audio is in, everything is exposed.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -37,6 +38,13 @@ class TextStream(SourceStream):
             yield w, i
 
 
+def _is_time(value) -> bool:
+    """A finite int or float and no bool: an infinite total never ends the
+    windowing, and a NaN end time passes every order check."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class TimedWord:
     word: str
@@ -50,8 +58,9 @@ class TimedTranscript:
     reference: str = ""
 
     def __post_init__(self):
-        if not (isinstance(self.total_ms, (int, float)) and self.total_ms >= 0):
-            raise ValueError(f"total_ms must be a non-negative number, got {self.total_ms!r}")
+        if not (_is_time(self.total_ms) and self.total_ms >= 0):
+            raise ValueError(f"total_ms must be a finite non-negative number, "
+                             f"got {self.total_ms!r}")
         self.words = [
             w if isinstance(w, TimedWord) else TimedWord(w["w"], w["end_ms"])
             for w in self.words
@@ -61,6 +70,8 @@ class TimedTranscript:
             # a word is non-empty, holds no whitespace and is no marker
             if not (isinstance(w.word, str) and w.word.split() == [w.word]) or w.word in MARKERS:
                 raise ValueError(f"bad transcript word {w.word!r}")
+            if not _is_time(w.end_ms):
+                raise ValueError(f"end_ms must be a finite number, got {w.end_ms!r}")
             if w.end_ms <= prev:
                 raise ValueError("word end times must be strictly increasing")
             prev = w.end_ms

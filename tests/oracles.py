@@ -5,10 +5,11 @@ package code: dictionary-based EM, array EM with one sweep per call over a
 layout built word by word, per-cell argmax linking through table
 lookups, exhaustive search over wait placements, a from-scratch causality
 scan over raw corpus records, ASR windowing that rescans every word on
-every tick, evaluation that re-tokenizes and re-counts every sentence of
-every resample from its strings, prompt words parsed back from the
+every tick, latency metrics each by its own formula and its own pass,
+evaluation that re-tokenizes and re-counts every sentence of every
+resample from its strings, prompt words parsed back from the
 prompt text, tokenization that scans every character of every chunk, and
-an SFT line that json.dumps encodes whole.
+SFT lines and traces that json.dumps encodes whole.
 """
 
 import json
@@ -21,14 +22,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from simtrans.errors import DegenerateInput, InputMismatch
-from simtrans.metrics import (
-    LatencyReport,
-    average_lagging,
-    average_proportion,
-    differentiable_al,
-    is_truncated,
-    length_adaptive_al,
-)
+from simtrans.metrics import LatencyReport
 from simtrans.tokenizer import (
     _APOSTROPHES,
     _CONTRACTION_SUFFIXES,
@@ -185,6 +179,11 @@ def sft_line(sample):
     return json.dumps(sample.to_record(), ensure_ascii=False) + "\n"
 
 
+def trace_json(trace):
+    """The text of one trace file, its whole record through json.dumps."""
+    return json.dumps(trace.to_record(), ensure_ascii=False)
+
+
 def asr_rescan(end_ms, total_ms, window_ms):
     """Exposure ticks of a timed transcript, rescanning every word per tick.
 
@@ -314,6 +313,53 @@ def string_corpus_bleu(hypotheses, references):
         log_sum += math.log(correct[n] / total[n])
     brevity = 1.0 if sys_len >= ref_len else math.exp(1.0 - ref_len / sys_len)
     return 100.0 * brevity * math.exp(log_sum / 4)
+
+
+def _check(d):
+    if not d.g:
+        raise DegenerateInput("empty hypothesis")
+
+
+def average_proportion(d):
+    _check(d)
+    return sum(d.g) / (d.source_len * d.hyp_len)
+
+
+def _lagging(d, gamma):
+    tau = next((t for t, g in enumerate(d.g, start=1) if g >= d.source_len), d.hyp_len)
+    acc = 0.0
+    for t in range(1, tau + 1):
+        acc += d.g[t - 1] - (t - 1) / gamma
+    return acc / tau
+
+
+def average_lagging(d):
+    """AL, one formula per metric: tau by its own search, then its own sum."""
+    _check(d)
+    return _lagging(d, d.hyp_len / d.source_len)
+
+
+def length_adaptive_al(d):
+    _check(d)
+    if d.ref_len is None:
+        raise DegenerateInput("reference length required")
+    return _lagging(d, max(d.hyp_len, d.ref_len) / d.source_len)
+
+
+def differentiable_al(d):
+    _check(d)
+    gamma = d.hyp_len / d.source_len
+    acc = 0.0
+    g_prev = None
+    for t, g in enumerate(d.g, start=1):
+        g_prime = g if g_prev is None else max(g, g_prev + 1.0 / gamma)
+        acc += g_prime - (t - 1) / gamma
+        g_prev = g_prime
+    return acc / d.hyp_len
+
+
+def is_truncated(d):
+    return all(g < d.source_len for g in d.g)
 
 
 def list_aggregate_report(delay_seqs, hypotheses, references, unit="words", rtf=None):

@@ -196,12 +196,18 @@ _GOOD_RECORD = {"source": ["a", "b"], "target": ["x", "y"], "links": [[0, 0], [1
     ("target", ["x", None], "target must be a list of words"),
     ("waits", 3, "waits is 3 but the words hold 0"),
     ("fillers", 1, "fillers is 1 but the words hold 0"),
+    # no field: the whole record is the value
+    (None, [1], "a record must be a JSON object"),
+    (None, "x", "a record must be a JSON object"),
+    (None, None, "a record must be a JSON object"),
+    (None, 5, "a record must be a JSON object"),
 ], ids=["float-and-string-bool", "bool", "numeric-string", "integral-float", "number-word",
-        "null-word", "waits-count", "fillers-count"])
+        "null-word", "waits-count", "fillers-count", "list-record", "string-record",
+        "null-record", "number-record"])
 def test_verify_and_build_dataset_refuse_the_same_record(tmp_path, capsys, field, value,
                                                          problem):
     causal = tmp_path / "causal.jsonl"
-    write_jsonl(causal, [_GOOD_RECORD, {**_GOOD_RECORD, field: value}])
+    write_jsonl(causal, [_GOOD_RECORD, value if field is None else {**_GOOD_RECORD, field: value}])
     assert main(["verify", str(causal)]) == EXIT_VERIFY
     out = capsys.readouterr().out
     assert f"pair 2 ({causal}:2): {problem}\n" in out
@@ -432,11 +438,28 @@ def test_evaluate_matches_golden(tmp_path):
     assert waits.read_bytes() == (GOLDEN / "evaluate_waits.json").read_bytes()
 
 
+def test_simulate_fixture_traces_match_golden(tmp_path):
+    # the dict run behind the evaluate goldens, failed sessions included:
+    # every trace file, byte for byte
+    fixture = FIXTURES / "evaluate"
+    out_dir = tmp_path / "traces"
+    assert main(["simulate", "--input", str(fixture / "test.jsonl"), "--out-dir", str(out_dir),
+                 "--backend", "dict", "--dict-file", str(fixture / "dict.json"),
+                 "--k", "1,3"]) == EXIT_PARTIAL
+    golden = GOLDEN / "fixture_traces"
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def run_cli(*argv):
-    """Run the CLI in a fresh interpreter, as a user would; (exit code, stderr)."""
+    """Run the CLI in a fresh interpreter, as a user would; (exit code, stderr).
+
+    A run that has not ended within a minute fails the test instead of hanging it.
+    """
     src = Path(simtrans.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "simtrans.cli", *map(str, argv)],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
     return proc.returncode, proc.stderr
 
@@ -850,6 +873,13 @@ _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "al
     ("transcript", json.dumps({"words": [{"w": 5, "end_ms": 100.0}], "total_ms": 100.0})),
     ("transcript", json.dumps({"words": [{"w": "a b", "end_ms": 100.0}], "total_ms": 100.0})),
     ("transcript", json.dumps({"words": [{"w": "<WAIT>", "end_ms": 100.0}], "total_ms": 100.0})),
+    # an infinite total would never end the windowing; a NaN end passes every order check
+    ("transcript", '{"words": [{"w": "a", "end_ms": 100}, {"w": "b", "end_ms": Infinity}], '
+                   '"total_ms": Infinity}'),
+    ("transcript", json.dumps({"words": [{"w": "a", "end_ms": float("nan")}], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [{"w": "a", "end_ms": True}], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [{"w": "a", "end_ms": "50"}], "total_ms": 100.0})),
+    ("transcript", json.dumps({"words": [], "total_ms": True})),
     ("causal", _NOT_JSON),
     ("alignments", "0-x"),
     ("simulate-input", _BLANK_SOURCE),
@@ -862,7 +892,9 @@ _READERS = ["config", "dict", "script", "recording", "transcript", "causal", "al
         "script-not-lists", "recording-not-json", "recording-bad-event", "transcript-not-json",
         "transcript-no-end", "transcript-not-increasing", "transcript-total-string",
         "transcript-total-negative", "transcript-word-number", "transcript-word-spaced",
-        "transcript-word-marker", "causal-not-json", "alignments-bad-token",
+        "transcript-word-marker", "transcript-infinite", "transcript-end-nan",
+        "transcript-end-bool", "transcript-end-string", "transcript-total-bool",
+        "causal-not-json", "alignments-bad-token",
         "simulate-blank-source", "align-blank-source", "dict-directory",
         "align-input-directory", "out-dir-existing-file",
         *(f"{reader}-not-utf8" for reader in _READERS)])
@@ -927,6 +959,8 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, toy_corpus,
         assert err == f"error: {bad}: {os.strerror(errno.EEXIST)}\n"
     elif reader in ("causal", "alignments", "simulate-input", "align-input"):
         assert err.startswith(f"error: {bad}: line 1: ")
+    if reader == "transcript":
+        assert not (tmp_path / "o").exists()
 
 
 def test_verify_corrupted_corpus(tmp_path, toy_corpus, capsys):

@@ -5,6 +5,8 @@ import pytest
 from simtrans.cli import EXIT_OK, main
 from simtrans.streams import TimedTranscript, write_transcript
 
+from conftest import FIXTURES, GOLDEN
+
 
 @pytest.fixture
 def speech_setup(tmp_path):
@@ -96,3 +98,16 @@ def test_wall_clock_only_adds_stamps(tmp_path, speech_setup, mode):
         for event in rec["events"]:
             del event["wall_ms"]
         assert json.dumps(rec, ensure_ascii=False) + "\n" == runs["plain"][name]
+
+
+def test_speech_trace_matches_golden(tmp_path):
+    # a 33.3 ms window accumulates float error into every clock, and the
+    # words hold quotes, a backslash and non-ASCII letters
+    fixture = FIXTURES / "speech"
+    out_dir = tmp_path / "traces"
+    assert main(["simulate", "--input", str(fixture / "talk"), "--out-dir", str(out_dir),
+                 "--mode", "speech", "--backend", "dict", "--dict-file", str(fixture / "dict.json"),
+                 "--lookahead", "1", "--k", "2", "--window-ms", "33.3"]) == EXIT_OK
+    assert [p.name for p in out_dir.iterdir()] == ["0000_k2.json"]
+    assert ((out_dir / "0000_k2.json").read_bytes()
+            == (GOLDEN / "fixture_speech_trace.json").read_bytes())

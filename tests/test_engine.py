@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+from simtrans import engine
 from simtrans import prompt as prompt_module
 from simtrans.backends import DictionaryBackend, ScriptedBackend
 from simtrans.engine import EngineConfig, SessionTrace, run_session
@@ -304,3 +306,97 @@ def test_every_whitespace_code_point_is_rejected_inside_a_word():
     for word in ["x\u200by", "x\u00ady", "x\ufeffy"]:  # not whitespace
         trace = run_session(["a"], ScriptedBackend([word, Signal.EOS]), k=1)
         assert trace.hypothesis_words == [word]
+
+
+# words json escapes (quote, backslash, C0 controls) or leaves alone
+# (U+2028/2029, DEL, non-BMP), and numbers whose repr is their JSON text
+_FUZZ_WORDS = ["plain", 'say"hi"', "back\\slash", "\x00", "a\x1fb", "tab\tnew\nline",
+               "\u2028", "\u2029", "\x7f", "é", "\U0001f600x", "", "<WAIT>"]
+_FUZZ_NUMBERS = [0, 1, 7, 12345678901234567890, 200.0, 1e16, 5e-324, -0.0, 0.1 + 0.2, 1.5e300]
+# values and shapes the engine never writes: each makes to_json fall back to json
+_ODD_EVENTS = [
+    {"kind": "read", "clock": 1, "word": "a", "extra": 1},
+    {"kind": "wait", "clock": True},
+    {"kind": "write", "clock": 1, "word": "a", "g": False},
+    {"kind": "eos", "clock": float("nan")},
+    {"kind": "write", "clock": 1, "word": "a", "g": float("inf")},
+    {"kind": "read", "clock": float("-inf"), "word": "a"},
+    {"clock": 1, "kind": "wait"},
+    {"kind": "read", "word": "a", "clock": 1},
+    {"kind": "read", "clock": 1, "word": 5},
+    {"kind": "read", "clock": 1},
+    {"kind": "jump", "clock": 1},
+    {"kind": "write", "clock": 1, "word": "a"},
+    {"kind": "read", "clock": "1", "word": "a"},
+    {"kind": "read", "clock": None, "word": "a"},
+    {},
+    ["kind", "clock"],
+    "read",
+]
+
+
+def _pick(rng, values):
+    """One of values as it is: numpy's choice would turn numbers into numpy scalars."""
+    return values[int(rng.integers(0, len(values)))]
+
+
+def _fuzz_event(rng):
+    kind = _pick(rng, ["read", "write", "wait", "eos"])
+    event = {"kind": kind, "clock": _pick(rng, _FUZZ_NUMBERS)}
+    if kind in ("read", "write"):
+        event["word"] = _pick(rng, _FUZZ_WORDS)
+    if kind == "write":
+        event["g"] = _pick(rng, _FUZZ_NUMBERS)
+    return event
+
+
+def test_trace_json_equals_json_dumps_fuzz(rng):
+    templated = fell_back = 0
+    for _ in range(600):
+        events = [_fuzz_event(rng) for _ in range(int(rng.integers(0, 12)))]
+        roll = rng.random()
+        if roll < 0.2 and events:  # a wall clock stamps every event
+            for event in events:
+                event["wall_ms"] = _pick(rng, _FUZZ_NUMBERS)
+        elif roll < 0.5:
+            events.insert(int(rng.integers(0, len(events) + 1)), _pick(rng, _ODD_EVENTS))
+        words = [_pick(rng, _FUZZ_WORDS) for _ in range(int(rng.integers(0, 5)))]
+        trace = SessionTrace(
+            source_words=words,
+            hypothesis_words=words[::-1],
+            delays=[_pick(rng, _FUZZ_NUMBERS) for _ in words],
+            k=int(rng.integers(1, 6)),
+            mode=_pick(rng, ["text", "speech"]),
+            source_total=_pick(rng, _FUZZ_NUMBERS),
+            events=events,
+            error=_pick(rng, [None, 'backend said "no"\n\u2028']),
+            processing_ms=_pick(rng, [None, *_FUZZ_NUMBERS, float("nan")]),
+            session_id=_pick(rng, ["0000", "id\\\u2029"]),
+        )
+        assert trace.to_json() == oracles.trace_json(trace)
+        if engine._events_json(events) is None:
+            fell_back += 1
+        else:
+            templated += 1
+    # both ways of writing events were taken, often
+    assert templated > 200 and fell_back > 200
+    # events json cannot write stay unwritable, however engine-like each is
+    trace = SessionTrace([], [], [], 1, "text", 1, events=iter([{"kind": "eos", "clock": 1}]))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        trace.to_json()
+
+
+def test_run_session_traces_equal_json_dumps():
+    # the engine's own events, with and without a wall clock, in both modes
+    for wall_clock in (False, True):
+        cfg = EngineConfig(wall_clock=wall_clock)
+        text = run_session(['"a"', "b\\", "c\U0001f600", "\x7f"],
+                           DictionaryBackend({}, lookahead=1), 2, cfg)
+        transcript = TimedTranscript(
+            words=[{"w": w, "end_ms": 33.3 * (i + 1)} for i, w in enumerate("abcd")],
+            total_ms=140.0)
+        speech = run_session(AsrSimStream(transcript, AsrSimConfig(window_ms=33.3)),
+                             DictionaryBackend({}), 1, cfg)
+        for trace in (text, speech):
+            assert trace.to_json() == oracles.trace_json(trace)
+            assert (engine._events_json(trace.events) is None) == wall_clock

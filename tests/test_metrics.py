@@ -131,6 +131,8 @@ def test_degenerate_inputs():
         real_time_factor(100, 0)
     with pytest.raises(DegenerateInput):
         length_adaptive_al(seq([1], 1))  # no reference length
+    with pytest.raises(DegenerateInput, match="reference length required"):
+        score_sessions([seq([1], 1)], [["a"]], [["a"]], [0])
 
 
 def test_rtf_values():
@@ -341,3 +343,63 @@ def test_score_sessions_rejects_mismatched_counts():
         score_sessions(seqs, [["a", "b"]], [], [0])
     with pytest.raises(InputMismatch):
         score_sessions(seqs, [["a", "b"]], [["a", "b"]], [])
+
+
+def _walk_fuzz_seq(rng):
+    """Delays for the walk: ties at |x|, truncated, one word, or at ms scale."""
+    n = 1 if rng.random() < 0.2 else int(rng.integers(1, 30))
+    src = int(rng.integers(1, 40))
+    g = sorted(int(v) for v in rng.integers(0, src + 1, size=n))
+    roll = rng.random()
+    if roll < 0.3:  # several words committed once the whole source is in
+        ties = int(rng.integers(1, n + 1))
+        g = g[:n - ties] + [src] * ties
+    elif roll < 0.5:  # |x| never reached
+        g = [min(v, src - 1) for v in g] if src > 1 else g
+        src += int(rng.integers(1, 4))
+    scale = float(rng.choice([1.0, 200.0, 33.3, 0.1]))
+    ref_len = None if rng.random() < 0.2 else int(rng.integers(1, 2 * n + 2))
+    return DelaySequence(g=[v * scale for v in g], source_len=src * scale, ref_len=ref_len)
+
+
+def test_one_walk_equals_the_formulas_fuzz(rng):
+    # exact equality: the walk adds the same floats in the same order as the
+    # per-metric formulas
+    truncated = tied = 0
+    for _ in range(3000):
+        d = _walk_fuzz_seq(rng)
+        for ours, theirs in ((average_lagging, oracles.average_lagging),
+                             (length_adaptive_al, oracles.length_adaptive_al),
+                             (average_proportion, oracles.average_proportion),
+                             (differentiable_al, oracles.differentiable_al),
+                             (is_truncated, oracles.is_truncated)):
+            assert _outcome(ours, d) == _outcome(theirs, d), (ours.__name__, d)
+        truncated += oracles.is_truncated(d)
+        tied += d.g.count(d.source_len) > 1
+    assert truncated > 300 and tied > 300
+    # an empty hypothesis: nothing to lag, and never reaching |x|
+    empty = DelaySequence(g=[], source_len=3, ref_len=None)
+    for ours, theirs in ((average_lagging, oracles.average_lagging),
+                         (length_adaptive_al, oracles.length_adaptive_al),
+                         (is_truncated, oracles.is_truncated)):
+        assert _outcome(ours, empty) == _outcome(theirs, empty)
+
+
+def test_score_sessions_rows_equal_the_formulas(rng):
+    seqs = [_walk_fuzz_seq(rng) for _ in range(200)]
+    for d in seqs:
+        if d.ref_len is None:
+            d.ref_len = 1
+    seqs.append(DelaySequence(g=[], source_len=2, ref_len=2))
+    tokens = [["a"]] * len(seqs)
+    scores = score_sessions(seqs, tokens, [["a"]], [0] * len(seqs))
+    for i, d in enumerate(seqs):
+        assert bool(scores.scored[i]) == bool(d.g)
+        if d.g:
+            assert (scores.al[i], scores.laal[i], scores.ap[i], scores.dal[i]) == (
+                oracles.average_lagging(d), oracles.length_adaptive_al(d),
+                oracles.average_proportion(d), oracles.differentiable_al(d))
+            assert bool(scores.truncated[i]) == oracles.is_truncated(d)
+    # a range of rows reports as the sessions it holds scored alone
+    part = score_sessions(seqs[50:120], tokens[50:120], [["a"]], [0] * 70)
+    assert aggregate_report(scores[50:120]) == aggregate_report(part)
