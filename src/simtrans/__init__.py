@@ -31,6 +31,7 @@ from .metrics import (
     score_sessions,
     tradeoff_curve,
     wait_histogram,
+    waited_words,
 )
 from .prompt import build_prompt, interpreter_system_message
 from .sft import SftConfig, emit_samples, training_meta, trim_pair

@@ -14,6 +14,7 @@ import base64
 import http.client
 import json
 import os
+import re
 import ssl
 import threading
 import urllib.parse
@@ -84,6 +85,17 @@ class HttpBackendConfig:
             raise ValueError("timeout_ms must be positive")
 
 
+# a space or control character, which neither a request line nor a Host
+# header can carry
+_UNSAFE_IN_URL = re.compile("[\x00-\x20\x7f]")
+# the characters of a header value: tab, space, visible ASCII and obs-text
+_FIELD_VALUE = re.compile("[\t\x20-\x7e\x80-\xff]*")
+# http.client's limits on a response: bytes in one line, header lines
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_BLANK_LINES = (b"\r\n", b"\n", b"")
+
+
 class HttpBackend:
     """Client for JSON-over-HTTP completion servers.
 
@@ -94,35 +106,69 @@ class HttpBackend:
     "stop" means the sequence ended.
 
     Each thread keeps one keep-alive connection, so one backend can serve a
-    pool of workers. The HTTP(S)_PROXY and NO_PROXY environment variables
-    are read once, here. Client errors (4xx) other than 408 and 429 are not
-    retried; other failures are retried cfg.retries times.
+    pool of workers. http.client opens it (TLS, a proxy's CONNECT tunnel);
+    each request then goes out in one write on its socket, and
+    _read_response reads the answer. The HTTP(S)_PROXY and NO_PROXY
+    environment variables and the bearer token are read once, here, where
+    an endpoint or token the request head cannot carry is refused. Client
+    errors (4xx) other than 408 and 429 are not retried; other failures are
+    retried cfg.retries times.
     """
 
     def __init__(self, cfg: HttpBackendConfig):
         self.cfg = cfg
-        url = urllib.parse.urlsplit(cfg.endpoint_url)
+        try:
+            url = urllib.parse.urlsplit(cfg.endpoint_url)
+            port = url.port
+        except ValueError as exc:  # a port out of range, an unclosed IPv6 bracket
+            raise BackendUnavailable(f"endpoint {cfg.endpoint_url!r}: {exc}") from None
         if url.scheme not in ("http", "https") or not url.hostname:
             raise BackendUnavailable(f"endpoint {cfg.endpoint_url!r} is not an http(s) URL")
         self._https = url.scheme == "https"
         self._host = url.hostname
-        self._port = url.port or (443 if self._https else 80)
-        self._path = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._port = port or (443 if self._https else 80)
+        path = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         proxy = _proxy_for(url)
         self._proxy_addr = proxy[:2] if proxy else None
         self._proxy_headers = proxy[2] if proxy else {}
         if proxy and not self._https:
-            # a plain-HTTP proxy takes the absolute URI in the request line
-            self._path = urllib.parse.urlunsplit(url._replace(fragment=""))
+            # a plain-HTTP proxy takes the absolute URI in the request line,
+            # without the endpoint's user:password@
+            path = urllib.parse.urlunsplit(
+                url._replace(netloc=url.netloc.rpartition("@")[2], fragment=""))
+        if _UNSAFE_IN_URL.search(path) or _UNSAFE_IN_URL.search(self._host):
+            raise BackendUnavailable(
+                f"endpoint {cfg.endpoint_url!r} holds a space or a control character")
+        if not path.isascii():
+            raise BackendUnavailable(f"endpoint {cfg.endpoint_url!r} has a non-ASCII path")
+        try:
+            host = _host_header(self._host, self._port, 443 if self._https else 80)
+        except UnicodeError:
+            raise BackendUnavailable(
+                f"endpoint {cfg.endpoint_url!r}: the host is not a valid domain name") from None
+        # the request head up to the Content-Length value, the same for every call
+        head = [f"POST {path} HTTP/1.1", f"Host: {host}", "Accept-Encoding: identity",
+                "Content-Type: application/json"]
+        token = os.environ.get(cfg.api_key_env, "") if cfg.api_key_env else ""
+        if token:
+            if not _FIELD_VALUE.fullmatch(token):
+                # refused before any connection, so no byte of it is sent
+                raise BackendUnavailable(f"the bearer token in ${cfg.api_key_env} holds a "
+                                         "line break, a control or a non-Latin-1 character")
+            head.append(f"Authorization: Bearer {token}")
+        if not self._https:
+            head += [f"{name}: {value}" for name, value in self._proxy_headers.items()]
+        head.append("Content-Length: ")
+        self._head = "\r\n".join(head).encode("latin-1")
         self._ssl_context = ssl.create_default_context() if self._https else None
         self._local = threading.local()
         self._lock = threading.Lock()
         self._open = []
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            return conn
+    def _channel(self) -> "_Channel":
+        channel = getattr(self._local, "channel", None)
+        if channel is not None:
+            return channel
         timeout = self.cfg.timeout_ms / 1000.0
         host, port = self._proxy_addr or (self._host, self._port)
         if self._https:
@@ -132,28 +178,18 @@ class HttpBackend:
                 conn.set_tunnel(self._host, self._port, headers=self._proxy_headers)
         else:
             conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        self._local.conn = conn
+        channel = self._local.channel = _Channel(conn)
         with self._lock:
-            self._open.append(conn)
-        return conn
+            self._open.append(channel)
+        return channel
 
     def close(self):
         """Close every connection this backend opened, in any thread."""
         with self._lock:
-            conns, self._open = self._open, []
+            channels, self._open = self._open, []
             self._local = threading.local()
-        for conn in conns:
-            conn.close()
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.cfg.api_key_env:
-            token = os.environ.get(self.cfg.api_key_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        if not self._https:
-            headers.update(self._proxy_headers)
-        return headers
+        for channel in channels:
+            channel.close()
 
     def _post(self, body: bytes):
         """(status, response body) of one POST on this thread's connection.
@@ -161,23 +197,28 @@ class HttpBackend:
         A kept-alive connection the server closed while idle fails on its
         next use; it is reopened once, and that does not count as a retry.
         """
-        conn = self._connection()
-        reused = conn.sock is not None
+        channel = self._channel()
+        reused = channel.reader is not None
         try:
-            return self._exchange(conn, body)
+            return self._exchange(channel, body)
         except ConnectionError:
             if not reused:
                 raise
-        return self._exchange(conn, body)
+        return self._exchange(channel, body)
 
-    def _exchange(self, conn, body: bytes):
+    def _exchange(self, channel, body: bytes):
+        request = b"".join((self._head, b"%d\r\n\r\n" % len(body), body))
         try:
-            conn.request("POST", self._path, body, self._headers())
-            resp = conn.getresponse()
-            return resp.status, resp.read()
+            if channel.reader is None:
+                channel.open()
+            channel.conn.sock.sendall(request)
+            status, data, keep_alive = _read_response(channel.reader)
         except BaseException:
-            conn.close()  # its state is unknown; the next request reconnects
+            channel.close()  # its state is unknown; the next request reconnects
             raise
+        if not keep_alive:
+            channel.close()
+        return status, data
 
     def _request(self, prompt: str, allow_wait: bool) -> dict:
         stop = [" "]
@@ -278,6 +319,131 @@ class ReplayBackend:
         if unit is None:
             raise SimtransError(self.error)
         return unit
+
+
+def _host_header(host, port, default_port) -> str:
+    """The Host header value as http.client writes it: the host IDNA-encoded,
+    an IPv6 literal in brackets without its zone, the port unless default."""
+    try:
+        value = host.encode("ascii").decode("ascii")
+    except UnicodeEncodeError:
+        value = host.encode("idna").decode("ascii")
+    if ":" in value:
+        value = f"[{value.partition('%')[0]}]"
+    return value if port == default_port else f"{value}:{port}"
+
+
+class _Channel:
+    """One keep-alive connection and the buffered reader of its responses.
+
+    The reader keeps the socket open until it is closed itself, so the two
+    are opened and closed together.
+    """
+
+    def __init__(self, conn: http.client.HTTPConnection):
+        self.conn = conn
+        self.reader = None
+
+    def open(self):
+        self.conn.connect()
+        self.reader = self.conn.sock.makefile("rb")
+
+    def close(self):
+        if self.reader is not None:
+            self.reader.close()
+            self.reader = None
+        self.conn.close()
+
+
+def _read_line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_response(reader):
+    """(status, body, keep_alive) of the next HTTP/1.x response on reader.
+
+    1xx interim responses are skipped. The body is delimited by chunked
+    transfer coding, else by Content-Length, else by the end of the
+    connection. keep_alive is false after Connection: close, after HTTP/1.0
+    without keep-alive, and after a body read to the end. Failures raise
+    http.client's exceptions: RemoteDisconnected when the connection ends
+    before a status line, BadStatusLine, LineTooLong, IncompleteRead.
+    """
+    while True:
+        line = _read_line(reader, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        fields = line.split(None, 2)
+        try:
+            status = int(fields[1])
+        except (IndexError, ValueError):
+            status = 0
+        if not (100 <= status <= 999 and fields[0].startswith(b"HTTP/")):
+            raise http.client.BadStatusLine(str(line, "iso-8859-1"))
+        version = fields[0]
+        if version in (b"HTTP/1.0", b"HTTP/0.9"):
+            http10 = True
+        elif version.startswith(b"HTTP/1."):
+            http10 = False
+        else:
+            raise http.client.UnknownProtocol(str(version, "iso-8859-1"))
+        headers = {}
+        count = 0
+        while (line := _read_line(reader, "header line")) not in _BLANK_LINES:
+            count += 1
+            if count > _MAX_HEADERS:
+                raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+            name, colon, value = line.partition(b":")
+            if colon:
+                headers.setdefault(name.strip().lower(), value.strip())
+        if status >= 200:
+            break
+
+    connection = headers.get(b"connection", b"").lower()
+    if http10:
+        keep_alive = b"keep-alive" in connection or b"keep-alive" in headers
+    else:
+        keep_alive = b"close" not in connection
+    if status in (204, 304):
+        return status, b"", keep_alive
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(reader), keep_alive
+    try:
+        length = int(headers[b"content-length"])
+    except (KeyError, ValueError):
+        length = -1
+    if length < 0:
+        return status, reader.read(), False
+    body = reader.read(length)
+    if len(body) < length:
+        raise http.client.IncompleteRead(body, length - len(body))
+    return status, body, keep_alive
+
+
+def _read_chunked(reader) -> bytes:
+    """The body of a chunked response, its trailer read and dropped."""
+    chunks = []
+    while True:
+        line = _read_line(reader, "chunk size")
+        try:
+            size = int(line.partition(b";")[0], 16)
+            if size < 0:
+                raise ValueError(size)
+        except ValueError:
+            raise http.client.IncompleteRead(b"".join(chunks)) from None
+        if size == 0:
+            break
+        chunk = reader.read(size + 2)  # the data and its CRLF
+        if len(chunk) < size + 2:
+            raise http.client.IncompleteRead(b"".join(chunks) + chunk[:size],
+                                             size + 2 - len(chunk))
+        chunks.append(chunk[:size])
+    while _read_line(reader, "trailer line") not in _BLANK_LINES:
+        pass
+    return b"".join(chunks)
 
 
 def _proxy_for(url):

@@ -235,7 +235,7 @@ def _build_shared_backend(args):
             raise SimtransError("--recording is required for the replay backend")
         traces = _read_traces(args.recording)
         for path, rec in traces.values():
-            _trace_events(path, rec)
+            _waited_words(path, rec)
         return traces
     if args.backend == "scripted":
         if not args.script_file:
@@ -329,14 +329,11 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- evaluate
 
 _STR = frozenset((str,))
-# the event kinds of a trace: a read or write names its word, a wait or eos none
-_WORD_EVENTS = frozenset(("read", "write"))
-_BARE_EVENTS = frozenset(("wait", "eos"))
 
 
 def _read_trace(path):
     """One trace record with each field evaluate scores checked (delays by
-    metrics.DelaySequence, events by _trace_events), or an error naming the file."""
+    metrics.DelaySequence, events by _waited_words), or an error naming the file."""
     rec = read_json(path)
     if not isinstance(rec, dict):
         raise SimtransError(f"{path}: a trace must be a JSON object")
@@ -386,30 +383,23 @@ def _read_traces(directory):
     return traces
 
 
-def _trace_events(path, rec):
-    """The event records of one trace, checked for what wait_histogram and
-    ReplayBackend read: each kind, the words of reads and writes, the error."""
-    events = rec.get("events", [])
+def _waited_words(path, rec):
+    """metrics.waited_words of one trace, which checks each event for what
+    wait_histogram and ReplayBackend read, with its error checked too."""
     try:
-        for e in events:
-            kind = e["kind"]
-            if kind in _WORD_EVENTS:
-                if type(e["word"]) is not str:  # JSON decodes a string as str itself
-                    raise TypeError(e)
-            elif kind not in _BARE_EVENTS:
-                raise TypeError(e)
+        waited = metrics.waited_words(rec.get("events", []))
     except (TypeError, KeyError) as exc:
         raise SimtransError(f"{path}: events must be a list of event records") from exc
     if not (rec.get("error") is None or isinstance(rec["error"], str)):
         raise SimtransError(f"{path}: error must be null or a string")
-    return events
+    return waited
 
 
 def cmd_evaluate(args) -> int:
     traces = _read_traces(args.traces)
     if args.histogram:
         # every input is read before the first output is written
-        event_lists = [_trace_events(path, rec) for path, rec in traces.values()]
+        waited = [_waited_words(path, rec) for path, rec in traces.values()]
         function_words = [w.strip() for w in lines(read_text(args.function_words)) if w.strip()]
 
     pairs = _read_pair_file(args.references)
@@ -494,7 +484,7 @@ def cmd_evaluate(args) -> int:
         _atomic_write(args.curve, metrics.tradeoff_curve(runs))
 
     if args.histogram:
-        hist = metrics.wait_histogram(event_lists, function_words)
+        hist = metrics.wait_histogram(waited, function_words)
         _atomic_write(args.histogram, json.dumps({
             "counts": hist.counts,
             "function_count": hist.function_count,

@@ -149,26 +149,44 @@ class WaitHistogram:
         return self.function_count / self.total if self.total else 0.0
 
 
+def waited_words(events) -> list:
+    """The source word read last before each wait event of one session.
+
+    events are the session's trace event records; one that is not a read or
+    a write of a string word, a wait or an eos raises TypeError or KeyError,
+    so this one walk also checks them.
+    """
+    waited = []
+    last_read = None
+    for event in events:
+        kind = event["kind"]
+        if kind == "read":
+            last_read = event["word"]
+            if type(last_read) is not str:  # JSON decodes a string as str itself
+                raise TypeError(event)
+        elif kind == "wait":
+            if last_read is not None:
+                waited.append(last_read)
+        elif kind == "write":
+            if type(event["word"]) is not str:
+                raise TypeError(event)
+        elif kind != "eos":
+            raise TypeError(event)
+    return waited
+
+
 def wait_histogram(sessions, function_words) -> WaitHistogram:
     """Count the source word immediately preceding each wait event.
 
-    sessions holds one list of trace event records per session.
+    sessions holds the waited_words of each session's events.
     """
+    counts = {}
+    for waited in sessions:
+        for word in waited:
+            counts[word] = counts.get(word, 0) + 1
     function_words = {w.lower() for w in function_words}
-    hist = WaitHistogram()
-    for events in sessions:
-        last_read = None
-        for event in events:
-            kind = event["kind"]
-            if kind == "read":
-                last_read = event["word"]
-            elif kind == "wait" and last_read is not None:
-                hist.counts[last_read] = hist.counts.get(last_read, 0) + 1
-                if last_read.lower() in function_words:
-                    hist.function_count += 1
-                else:
-                    hist.content_count += 1
-    return hist
+    function_count = sum(n for word, n in counts.items() if word.lower() in function_words)
+    return WaitHistogram(counts, function_count, sum(counts.values()) - function_count)
 
 
 @dataclass

@@ -1,10 +1,14 @@
 import json
+import os
+import re
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from simtrans import backends
 from simtrans.backends import (
     DictionaryBackend,
     HttpBackend,
@@ -388,3 +392,197 @@ def test_simulate_http_workers_match_one_worker(tmp_path, dict_server, no_proxy_
     four, four_clients = simulate(4)
     assert len(one) == 24 and four == one
     assert len(one_clients) == 1 and 1 <= len(four_clients) <= 4
+
+
+class _RawServer:
+    """A loopback server that answers the i-th request it reads with the
+    canned bytes of replies[i] (the last reply once they run out), each a
+    (bytes, close the connection afterwards) pair.
+
+    It keeps the bytes of every request and notes whether each one arrived
+    whole in the first recv that saw any of it.
+    """
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.requests = []
+        self.whole = []
+        self.connections = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self.sock.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:  # the listening socket was shut down
+                return
+            self.connections += 1
+            with conn:
+                try:
+                    while self._answer(conn):
+                        pass
+                except OSError:  # the client hung up mid-reply
+                    pass
+
+    def _answer(self, conn):
+        data = first = conn.recv(1 << 20)
+        while b"\r\n\r\n" not in data:
+            more = conn.recv(1 << 20)
+            if not more:
+                return False
+            data += more
+        head = data.partition(b"\r\n\r\n")[0]
+        length = int(re.search(rb"(?im)^content-length: *(\d+)", head)[1])
+        while len(data) < len(head) + 4 + length:
+            more = conn.recv(1 << 20)
+            if not more:
+                return False
+            data += more
+        self.requests.append(data)
+        self.whole.append(first == data)
+        reply, close = self.replies[min(len(self.requests), len(self.replies)) - 1]
+        conn.sendall(reply)
+        return not close
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
+        self.thread.join(5)
+
+
+@pytest.fixture
+def raw_server():
+    servers = []
+
+    def start(replies):
+        servers.append(_RawServer(replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+        assert not server.thread.is_alive()
+
+
+_WORD = json.dumps({"choices": [{"text": "Wort", "finish_reason": "stop"}]}).encode()
+
+
+def _sized(head, body=_WORD):
+    return b"%s\r\nContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
+
+
+def _chunked(body, size=7):
+    chunks = [body[i:i + size] for i in range(0, len(body), size)]
+    return b"".join(b"%x;ext=1\r\n%s\r\n" % (len(c), c) for c in chunks) + b"0\r\nX-Trailer: t\r\n\r\n"
+
+
+# name: (replies, connections the server sees, the error of the first call or None)
+_RESPONSES = {
+    "content-length": ([(_sized(b"HTTP/1.1 200 OK"), False)], 1, None),
+    "chunked": ([(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + _chunked(_WORD),
+                  False)], 1, None),
+    "http/1.0 body read to close": ([(b"HTTP/1.0 200 OK\r\n\r\n" + _WORD, True)], 2, None),
+    # the next two servers leave the connection open: the client must close it
+    "http/1.0 without keep-alive": ([(_sized(b"HTTP/1.0 200 OK"), False)], 2, None),
+    "connection close, then a reconnect": (
+        [(_sized(b"HTTP/1.1 200 OK\r\nConnection: close"), False)], 2, None),
+    "http/1.0 keep-alive": ([(_sized(b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive"), False)],
+                            1, None),
+    "100 continue first": ([(b"HTTP/1.1 100 Continue\r\n\r\n" + _sized(b"HTTP/1.1 200 OK"),
+                             False)], 1, None),
+    "truncated body": ([(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + _WORD[:10], True)],
+                       2, "IncompleteRead(10 bytes read, 90 more expected)"),
+    "garbage status line": ([(b"garbage\r\n\r\n", True)], 2, "garbage\r\n"),
+    "header line over 64 KiB": ([(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n",
+                                  True)], 2, "got more than 65536 bytes when reading header line"),
+}
+
+
+@pytest.mark.parametrize("name", _RESPONSES)
+def test_http_response_reader(raw_server, no_proxy_env, name):
+    replies, connections, error = _RESPONSES[name]
+    server = raw_server(replies)
+    endpoint = f"http://127.0.0.1:{server.port}/v1/completions"
+    backend = HttpBackend(HttpBackendConfig(endpoint_url=endpoint, retries=1, timeout_ms=5000))
+    if error is None:
+        assert [backend.next_unit("p"), backend.next_unit("p")] == ["Wort", "Wort"]
+    else:
+        with pytest.raises(BackendUnavailable) as exc:
+            backend.next_unit("p")
+        assert str(exc.value) == f"{endpoint} unavailable after 2 attempts: {error}"
+    backend.close()
+    assert server.connections == connections
+    # each request goes out in one write, so it arrives whole in one recv
+    assert server.whole == [True] * len(server.requests) and server.requests
+    assert server.requests[0].startswith(b"POST /v1/completions HTTP/1.1\r\n")
+
+
+@pytest.mark.parametrize("endpoint, request_line, host", [
+    ("http://backend.example/v1?a=1#frag",
+     b"POST http://backend.example/v1?a=1 HTTP/1.1", b"backend.example"),
+    ("http://backend.example:80/v1", b"POST http://backend.example:80/v1 HTTP/1.1",
+     b"backend.example"),
+    ("http://user:pw@backend.example/v1", b"POST http://backend.example/v1 HTTP/1.1",
+     b"backend.example"),
+    ("http://[::1]:8080/v1", b"POST http://[::1]:8080/v1 HTTP/1.1", b"[::1]:8080"),
+    ("http://xn--bcher-kva.example:81/", b"POST http://xn--bcher-kva.example:81/ HTTP/1.1",
+     b"xn--bcher-kva.example:81"),
+])
+def test_http_request_line_and_host_through_a_proxy(raw_server, no_proxy_env, endpoint,
+                                                    request_line, host):
+    server = raw_server([(_sized(b"HTTP/1.1 200 OK"), False)])
+    no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{server.port}")
+    backend = HttpBackend(HttpBackendConfig(endpoint_url=endpoint, retries=0, timeout_ms=5000))
+    assert backend.next_unit("p") == "Wort"
+    backend.close()
+    head = server.requests[0].partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert head[0] == request_line
+    assert f"Host: {host.decode()}".encode() in head[1:]
+
+
+def test_http_host_header_as_http_client_writes_it():
+    # hosts a proxied request line cannot carry, so not reachable above
+    assert backends._host_header("bücher.example", 8443, 443) == "xn--bcher-kva.example:8443"
+    assert backends._host_header("fe80::1%eth0", 443, 443) == "[fe80::1]"
+
+
+@pytest.mark.parametrize("token", [
+    "sekret\r\nX-Injected: 1", "sekret\n", "sek\rret", "sek\x1bret", "sekret\u20ac",
+])
+def test_http_bearer_token_a_header_cannot_carry_is_never_sent(raw_server, no_proxy_env, token):
+    server = raw_server([(_sized(b"HTTP/1.1 200 OK"), False)])
+    no_proxy_env.setenv("MOCK_LLM_KEY", token)
+    cfg = HttpBackendConfig(endpoint_url=f"http://127.0.0.1:{server.port}/v1",
+                            api_key_env="MOCK_LLM_KEY", retries=2, timeout_ms=5000)
+    with pytest.raises(BackendUnavailable, match=r"bearer token in \$MOCK_LLM_KEY") as exc:
+        HttpBackend(cfg).next_unit("p")
+    assert "sekret" not in str(exc.value)
+    assert server.connections == 0 and server.requests == []
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://127.0.0.1:9/v1 x", "http://127.0.0.1:9/v1\x00", "http://127.0.0.1:9/v1\x7f",
+    "http://127.0.0.1:9/wörter", "http://127.0.0.1:99999/v1", "http://[::1/v1",
+    "ftp://127.0.0.1/v1",
+])
+def test_http_endpoint_refused_before_any_request(endpoint):
+    with pytest.raises(BackendUnavailable, match="endpoint"):
+        HttpBackend(HttpBackendConfig(endpoint_url=endpoint))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_http_closes_every_socket_it_opens(dict_server, no_proxy_env):
+    dict_server.close_after_response = True
+    backend = HttpBackend(_cfg(dict_server, retries=0))
+    _ask(backend, ["a"], [])  # the server's handler threads are up
+    start = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        assert _ask(backend, ["a"], []) == "A"
+    backend.close()
+    deadline = time.monotonic() + 5
+    while len(os.listdir("/proc/self/fd")) > start and time.monotonic() < deadline:
+        time.sleep(0.01)  # the server closes its side in its own threads
+    assert len(os.listdir("/proc/self/fd")) <= start

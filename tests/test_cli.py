@@ -335,6 +335,12 @@ def test_simulate_checks_the_script_file_before_any_session(tmp_path, capsys):
     ("dict", lambda d: ["--dict-file", d / "missing.json"], "missing.json: No such file"),
     ("replay", lambda d: ["--recording", d / "recorded"],
      "recorded: no trace of session 0001 at k=1"),
+    ("http", lambda d: ["--endpoint", "ftp://127.0.0.1:9/v1"],
+     "error: endpoint 'ftp://127.0.0.1:9/v1' is not an http(s) URL\n"),
+    ("http", lambda d: ["--endpoint", "http://127.0.0.1:9/v1 x"],
+     "error: endpoint 'http://127.0.0.1:9/v1 x' holds a space or a control character\n"),
+    ("http", lambda d: ["--endpoint", "http://127.0.0.1:99999/v1"],
+     "error: endpoint 'http://127.0.0.1:99999/v1': Port out of range 0-65535\n"),
 ])
 def test_refused_simulate_leaves_no_out_dir(tmp_path, capsys, backend, make_args, message):
     test_set = tmp_path / "test.jsonl"

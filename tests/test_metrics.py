@@ -19,6 +19,7 @@ from simtrans.metrics import (
     score_sessions,
     tradeoff_curve,
     wait_histogram,
+    waited_words,
 )
 from simtrans.rng import make_rng
 from simtrans.units import Signal
@@ -176,7 +177,7 @@ def test_wait_histogram_counts():
     trace = run_session(["the", "cat", "of", "mine"], ScriptedBackend(script), k=1)
     # wait 1 follows the read of "the"; the write of "x" reads "of", so
     # wait 2 follows "of"
-    hist = wait_histogram([trace.events], ["the", "of"])
+    hist = wait_histogram([waited_words(trace.events)], ["the", "of"])
     assert hist.counts == {"the": 1, "of": 1}
     assert hist.function_count == 2 and hist.content_count == 0
     assert hist.function_share == pytest.approx(1.0)
@@ -184,7 +185,7 @@ def test_wait_histogram_counts():
 
 def test_wait_histogram_empty():
     trace = run_session(["a"], ScriptedBackend(["x", Signal.EOS]), k=1)
-    hist = wait_histogram([trace.events], ["a"])
+    hist = wait_histogram([waited_words(trace.events)], ["a"])
     assert hist.counts == {} and hist.total == 0
 
 
@@ -201,7 +202,7 @@ def test_wait_histogram_fuzz_recount(rng):
         units.append(Signal.EOS)
         traces.append(run_session(source, ScriptedBackend(units), k=1))
     function_words = {"w0", "w1"}
-    hist = wait_histogram([t.events for t in traces], function_words)
+    hist = wait_histogram([waited_words(t.events) for t in traces], function_words)
     expected_fn = 0
     expected_total = 0
     for trace in traces:
@@ -403,3 +404,18 @@ def test_score_sessions_rows_equal_the_formulas(rng):
     # a range of rows reports as the sessions it holds scored alone
     part = score_sessions(seqs[50:120], tokens[50:120], [["a"]], [0] * 70)
     assert aggregate_report(scores[50:120]) == aggregate_report(part)
+
+
+@pytest.mark.parametrize("event", [
+    {"kind": "read"}, {"kind": "read", "word": 3}, {"kind": "write", "word": None},
+    {"kind": "skip"}, {"word": "a"}, ["read", "a"],
+])
+def test_waited_words_refuses_a_malformed_event(event):
+    with pytest.raises((TypeError, KeyError)):
+        waited_words([{"kind": "read", "word": "a"}, {"kind": "wait"}, event])
+
+
+def test_waited_words_skips_a_wait_before_any_read():
+    events = [{"kind": "wait"}, {"kind": "read", "word": "a"}, {"kind": "wait"},
+              {"kind": "wait"}, {"kind": "write", "word": "x"}, {"kind": "eos"}]
+    assert waited_words(events) == ["a", "a"]
