@@ -1,8 +1,10 @@
 """Translator backends: word-unit producers driven by the session prompt.
 
 A backend maps a prompt to exactly one unit per call: a word, a wait signal
-or end-of-sentence. The engine passes a prompt.StepPrompt; a prompt.Prompt
-or any other object with source and target word sequences and str() text
+or end-of-sentence. The engine passes a prompt.StepPrompt, whose source and
+target are the session's own word lists: a backend reads them during the
+call, never changes them, and copies them to keep them. A prompt.Prompt or
+any other object with source and target word sequences and str() text
 serves the same way. The remote backend sends str(prompt), the only place
 the text is rendered; the dictionary, scripted and replay backends never
 render it. The engine passes allow_wait=False when waits are being
@@ -256,10 +258,12 @@ class HttpBackend:
         data = self._request(str(prompt), allow_wait)
         try:
             choice = data["choices"][0]
-            text = choice.get("text", "")
-            finish = choice.get("finish_reason")
         except (KeyError, IndexError, TypeError) as exc:
             raise MalformedResponse(f"unexpected response shape: {data!r}") from exc
+        text = choice.get("text", "") if isinstance(choice, dict) else None
+        if not isinstance(text, str):
+            raise MalformedResponse(f"unexpected response shape: {data!r}")
+        finish = choice.get("finish_reason")
 
         stripped = text.strip()
         if not allow_wait:

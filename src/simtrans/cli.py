@@ -73,11 +73,13 @@ def _integer(value):
 
 
 def _integers(value):
-    """A non-empty list of whole numbers from a JSON list or comma-separated text."""
+    """A non-empty list of distinct whole numbers from a JSON list or
+    comma-separated text."""
     items = value if isinstance(value, list) else [v for v in str(value).split(",") if v.strip()]
-    if not items:
+    numbers = [_integer(v) for v in items]
+    if not numbers or len(set(numbers)) < len(numbers):
         raise ValueError(value)
-    return [_integer(v) for v in items]
+    return numbers
 
 
 # Each valued option, once: name -> (cast, default, bounds, subcommands).

@@ -17,9 +17,10 @@ no-ops and generation keeps going until end-of-sentence; a wait arriving then
 is discarded, the backend is re-asked with waits suppressed, and three
 consecutive suppressed waits abort the session as a livelock.
 
-The prompt is a prompt.StepPrompt: word views of the revealed and committed
-lists, which only grow, and text rendered only for a backend that asks for
-it, so a step costs the same however long the sentence is.
+The prompt is a prompt.StepPrompt: the revealed and committed lists
+themselves, which the backend reads during its call and never changes, and
+text rendered only for a backend that asks for it, so a step costs the same
+however long the sentence is.
 
 Events are recorded as the dicts the trace file holds, keys in this order:
 kind (read | write | wait | eos), the stream clock after the event, word

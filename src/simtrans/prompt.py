@@ -22,13 +22,10 @@ the word tuples it was built from, so a backend that works on words reads
 prompt.source and prompt.target instead of parsing the text back.
 
 The engine does not build a Prompt per step: it hands the backend a
-StepPrompt, whose source and target are read-only views of the session's
-word lists and whose text build_prompt renders only when str() asks for it.
-A backend reads the same source, target and str(prompt) from either kind.
+StepPrompt, whose source and target are the session's own word lists and
+whose text build_prompt renders only when str() asks for it. A backend
+reads the same source, target and str(prompt) from either kind.
 """
-
-from collections.abc import Sequence
-from itertools import islice
 
 from .units import WAIT_TOKEN
 
@@ -75,50 +72,21 @@ def build_prompt(partial_source, partial_target, system_message=None) -> Prompt:
     return Prompt(text, source, target)
 
 
-class WordPrefix(Sequence):
-    """The first n words of a list that only ever grows, read-only.
-
-    Length and indexing take constant time. The view stays valid however
-    many words are appended after it was made, because a prefix of an
-    append-only list never changes.
-    """
-
-    __slots__ = ("_words", "_n")
-
-    def __init__(self, words, n):
-        self._words = words
-        self._n = n
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._words[: self._n][index])
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError("word index out of range")
-        return self._words[index]
-
-    def __iter__(self):
-        return islice(self._words, self._n)
-
-
 class StepPrompt:
     """The prompt of one engine step, with its text rendered on first use.
 
-    source and target are WordPrefix views of the engine's revealed and
-    committed lists, fixed at the counts they had when the step began, so a
-    view kept past its step still reads that step's words. str(step) is the
-    build_prompt text of those words, rendered once and cached.
+    source and target are the engine's revealed and committed lists
+    themselves. They hold the step's words for the duration of the
+    next_unit call; a backend must not change them, and one that wants
+    them after the call must copy them. str(step) is the build_prompt text
+    of those words, rendered once and cached.
     """
 
     __slots__ = ("source", "target", "_system_message", "_text")
 
     def __init__(self, revealed, committed, system_message=None):
-        self.source = WordPrefix(revealed, len(revealed))
-        self.target = WordPrefix(committed, len(committed))
+        self.source = revealed
+        self.target = committed
         self._system_message = system_message
         self._text = None
 

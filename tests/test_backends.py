@@ -100,8 +100,14 @@ def test_http_eos_on_empty_stop(mock_server):
     assert HttpBackend(_cfg(mock_server)).next_unit("p") is Signal.EOS
 
 
-def test_http_whitespace_only_is_malformed(mock_server):
-    mock_server.responses = [completion("   ", "length")]
+@pytest.mark.parametrize("body", [
+    {"choices": [{"text": "   ", "finish_reason": "length"}]},
+    {"choices": [{"text": None}]},
+    {"choices": [{"text": 5}]},
+    {"choices": ["x"]},
+], ids=["whitespace-only", "null-text", "number-text", "string-choice"])
+def test_http_malformed_completion(mock_server, body):
+    mock_server.responses = [(200, body)]
     with pytest.raises(MalformedResponse):
         HttpBackend(_cfg(mock_server)).next_unit("p")
 
@@ -541,6 +547,20 @@ def test_http_request_line_and_host_through_a_proxy(raw_server, no_proxy_env, en
     head = server.requests[0].partition(b"\r\n\r\n")[0].split(b"\r\n")
     assert head[0] == request_line
     assert f"Host: {host.decode()}".encode() in head[1:]
+
+
+def test_simulate_http_malformed_completion_fails_the_session(tmp_path, raw_server, no_proxy_env,
+                                                             capsys):
+    server = raw_server([(_sized(b"HTTP/1.1 200 OK", b'{"choices": [{"text": null}]}'), False)])
+    test_set = tmp_path / "test.jsonl"
+    test_set.write_text(json.dumps({"source": "a b", "target": "A B"}) + "\n")
+    out_dir = tmp_path / "traces"
+    assert cli_main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
+                     "--backend", "http", "--k", "1", "--retries", "0",
+                     "--endpoint", f"http://127.0.0.1:{server.port}/v1/completions"]) == 2
+    trace = json.loads((out_dir / "0000_k1.json").read_text(encoding="utf-8"))
+    assert not trace["finished"] and "unexpected response shape" in trace["error"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_http_host_header_as_http_client_writes_it():

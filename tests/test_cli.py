@@ -474,6 +474,7 @@ def run_cli(*argv):
     ("k", "0", "simulate"),
     ("k", "two", "simulate"),
     ("k", ",", "simulate"),
+    ("k", "1,1", "simulate"),
     ("top-p", "nan", "simulate-http"),
     ("top-p", "-5", "simulate-http"),
     ("top-p", "5", "simulate-http"),
@@ -594,6 +595,11 @@ def test_mistyped_number_in_config_is_one_error_line(tmp_path, config, flag, com
     pytest.param("k", "2,0", "--k must be >= 1, got 0", "flag config env", id="k-list-bound"),
     pytest.param("k", ",", "--k: invalid value ','", "flag config env", id="k-list-empty"),
     pytest.param("k", [], "--k: invalid value []", "config", id="k-config-empty"),
+    # each k writes the same trace names, so a repeated k would write one file twice
+    pytest.param("k", "3,1,3", "--k: invalid value '3,1,3'", "flag config env",
+                 id="k-list-repeated"),
+    pytest.param("k", [1, 1.0], "--k: invalid value [1, 1.0]", "config",
+                 id="k-config-repeated"),
     pytest.param("top_p", "nan", "--top-p: invalid value 'nan'", "flag config env",
                  id="float-nan"),
     pytest.param("top_p", "-5", "--top-p must be > 0, got -5.0", "flag config env",
