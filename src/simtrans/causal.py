@@ -12,18 +12,15 @@ reaches a model.
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 from .aligner import AlignmentLinkSet
-from .errors import BoundsError, InputMismatch, ParseError
+from .errors import InputMismatch, ParseError
 from .inputs import json_lines, read_jsonl, unpaired_surrogate
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
 # what json.dumps(record, ensure_ascii=False) writes, without a new encoder per line
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 _STR = frozenset((str,))
-# a link index is an int, never a bool, a float or a numeric string
-_INT = frozenset((int,))
 
 
 @dataclass
@@ -117,39 +114,18 @@ def pair_to_record(pair: CausalPair) -> dict:
     }
 
 
-_NOT_AN_OBJECT = "a record must be a JSON object"
-
-
 def pair_from_record(record: dict, line_no: int = None, path=None) -> CausalPair:
-    """The pair a record holds: source and target lists of words, links
-    inside the unpadded sentences, and optional waits and fillers counts
-    equal to the markers its words hold."""
-    if not isinstance(record, dict):
-        raise ParseError(_NOT_AN_OBJECT, line_no, path)
-    try:
-        source, target = record["source"], record["target"]
-        links = {(i, j) for i, j in record["links"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad causal corpus record: {exc}", line_no, path) from exc
-    if not _INT.issuperset(map(type, chain.from_iterable(links))):
-        bad = next(link for link in record["links"] if not _INT.issuperset(map(type, link)))
-        raise ParseError(f"malformed link {bad!r}", line_no, path)
-    for key, words in (("source", source), ("target", target)):
-        # a string would pass as a list of its characters
-        if not (isinstance(words, list) and _STR.issuperset(map(type, words))):
-            raise ParseError(f"{key} must be a list of words", line_no, path)
-    waits = target.count(WAIT_TOKEN)
-    fillers = source.count(FILLER_TOKEN)
-    for key, count in (("waits", waits), ("fillers", fillers)):
-        if key in record and not (type(record[key]) is int and record[key] == count):
-            raise ParseError(f"{key} is {record[key]!r} but the words hold {count}",
-                             line_no, path)
-    try:
-        origin = AlignmentLinkSet(
-            links=links, source_len=len(source) - fillers, target_len=len(target) - waits
-        )
-    except BoundsError as exc:
-        raise ParseError(str(exc), line_no, path) from exc
+    """The pair a record holds, once verify_pair finds nothing wrong with it;
+    otherwise a ParseError with verify_pair's first violation."""
+    problems = verify_pair(record)
+    if problems:
+        raise ParseError(problems[0], line_no, path)
+    source, target = record["source"], record["target"]
+    origin = AlignmentLinkSet(
+        links={(i, j) for i, j in record["links"]},
+        source_len=len(source) - source.count(FILLER_TOKEN),
+        target_len=len(target) - target.count(WAIT_TOKEN),
+    )
     return CausalPair(source_words=source, target_words=target, origin_links=origin)
 
 
@@ -160,55 +136,67 @@ def write_corpus(pairs, path) -> None:
 
 
 def read_corpus(path) -> list:
+    """The pairs of a causal corpus file, in order; the first record
+    verify_pair reports is a ParseError naming its line."""
     return [pair_from_record(record, n, path) for n, record in read_jsonl(path)]
 
 
 def verify_pair(record) -> list:
     """Re-derive the causal invariants from the raw record fields.
 
-    Returns a list of violation strings (empty = pass). Deliberately avoids
-    CausalPair bookkeeping: everything is recomputed from source/target/links.
+    Returns a list of violation strings (empty = pass); build-dataset refuses
+    a record with the first. Deliberately avoids CausalPair bookkeeping:
+    everything is recomputed from source/target/links.
     """
     if not isinstance(record, dict):
-        return [_NOT_AN_OBJECT]
+        return ["a record must be a JSON object"]
+    source, target, links = record.get("source"), record.get("target"), record.get("links")
+    if not (isinstance(source, list) and isinstance(target, list) and isinstance(links, list)):
+        # a string would pass as a list of its characters
+        fields = (("source", source, "words"), ("target", target, "words"),
+                  ("links", links, "index pairs"))
+        return [f"{key} must be a list of {kind}" for key, value, kind in fields
+                if not isinstance(value, list)]
     problems = []
-    source = record.get("source")
-    target = record.get("target")
-    links = record.get("links")
-    if not isinstance(source, list) or not isinstance(target, list) or not isinstance(links, list):
-        return ["record missing source/target/links lists"]
     for key, words in (("source", source), ("target", target)):
         if not _STR.issuperset(map(type, words)):
             problems.append(f"{key} must be a list of words")
 
+    n_fill = source.count(FILLER_TOKEN)
+    n_wait = target.count(WAIT_TOKEN)
+    # each marker kind belongs to one side, and each side needs a word
+    stray_waits, stray_fillers = source.count(WAIT_TOKEN), target.count(FILLER_TOKEN)
+    if len(source) == n_fill + stray_waits:
+        problems.append("source holds no word")
+    if len(target) == n_wait + stray_fillers:
+        problems.append("target holds no word")
+    if stray_waits:
+        problems.append(f"{WAIT_TOKEN} in source")
+    if stray_fillers:
+        problems.append(f"{FILLER_TOKEN} in target")
+
     if len(source) != len(target):
         problems.append(f"length mismatch {len(source)} != {len(target)}")
-
-    n_fill = source.count(FILLER_TOKEN)
-    for key, count in (("waits", target.count(WAIT_TOKEN)), ("fillers", n_fill)):
+    for key, count in (("waits", n_wait), ("fillers", n_fill)):
         if key in record and not (type(record[key]) is int and record[key] == count):
             problems.append(f"{key} is {record[key]!r} but the words hold {count}")
-    if n_fill and source[-n_fill:] != [FILLER_TOKEN] * n_fill:
-        problems.append("fillers are not a contiguous source suffix")
-    if FILLER_TOKEN in source[: len(source) - n_fill]:
+    # fillers pad the source tail only: the first one starts the padding
+    if n_fill and source.index(FILLER_TOKEN) < len(source) - n_fill:
         problems.append("filler inside source body")
 
     # map original target index -> post-insertion index
     positions = [idx for idx, w in enumerate(target) if w != WAIT_TOKEN]
-    stripped_src_len = len(source) - n_fill
-    for pair_link in links:
-        if not (type(pair_link) is list and len(pair_link) == 2
-                and type(pair_link[0]) is int and type(pair_link[1]) is int):
-            problems.append(f"malformed link {pair_link!r}")
+    src_len, tgt_len = len(source) - n_fill, len(positions)
+    for link in links:
+        if type(link) is not list or len(link) != 2:
+            problems.append(f"malformed link {link!r}")
             continue
-        i, j = pair_link
-        if not (0 <= i < stripped_src_len):
-            problems.append(f"link source index {i} out of range")
-            continue
-        if not (0 <= j < len(positions)):
-            problems.append(f"link target index {j} out of range")
-            continue
-        if positions[j] < i:
+        i, j = link
+        if type(i) is not int or type(j) is not int:
+            problems.append(f"malformed link {link!r}")
+        elif not (0 <= i < src_len and 0 <= j < tgt_len):
+            problems.append(f"link ({i},{j}) outside {src_len}x{tgt_len}")
+        elif positions[j] < i:
             problems.append(
                 f"causality violated: target {j} at position {positions[j]} < source {i}"
             )

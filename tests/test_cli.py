@@ -15,6 +15,7 @@ from simtrans.backends import ScriptedBackend
 from simtrans.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY, main
 from simtrans.prompt import build_prompt, interpreter_system_message
 from simtrans.streams import TimedTranscript, write_transcript
+from simtrans.units import FILLER_TOKEN, WAIT_TOKEN
 
 from conftest import FIXTURES, GOLDEN
 
@@ -146,24 +147,6 @@ def test_build_dataset_sample_count(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 20
 
 
-@pytest.mark.parametrize("record, expected", [
-    # a link past a 2-word source, from BoundsError
-    ({"source": ["a", "b"], "target": ["x", "y"], "links": [[5, 0]]}, "link (5,0) outside 2x2"),
-    # a string would be read as its characters, where verify refuses it
-    ({"source": "ab", "target": ["x", "y"], "links": [[1, 0]]}, "source must be a list of words"),
-    ({"source": ["a", "b"], "target": ["x", 2], "links": [[1, 0]]},
-     "target must be a list of words"),
-], ids=["link-out-of-bounds", "string-source", "number-in-target"])
-def test_build_dataset_bad_record_names_file_and_line(tmp_path, record, expected):
-    causal = tmp_path / "causal.jsonl"
-    write_jsonl(causal, [{"source": ["a"], "target": ["x"], "links": [[0, 0]]}, record])
-    out = tmp_path / "o.jsonl"
-    code, err = run_cli("build-dataset", "--input", causal, "--output", out)
-    assert code == EXIT_USAGE
-    assert err == f"error: {causal}: line 2: {expected}\n"
-    assert not out.exists()
-
-
 def test_build_dataset_corrupt_record(tmp_path, capsys):
     causal = tmp_path / "causal.jsonl"
     causal.write_text('{"source": ["a"], "target": ["x"], "links": [[0,0]]}\nnot json\n')
@@ -187,35 +170,67 @@ def test_build_dataset_fixture_matches_golden(tmp_path):
 _GOOD_RECORD = {"source": ["a", "b"], "target": ["x", "y"], "links": [[0, 0], [1, 1]]}
 
 
-@pytest.mark.parametrize("field, value, problem", [
-    ("links", [[0.9, 0], ["1", True]], "malformed link [0.9, 0]"),
-    ("links", [[0, 0], [1, True]], "malformed link [1, True]"),
-    ("links", [[0, 0], ["1", 1]], "malformed link ['1', 1]"),
-    ("links", [[0, 0], [1.0, 1]], "malformed link [1.0, 1]"),
-    ("source", ["a", 7], "source must be a list of words"),
-    ("target", ["x", None], "target must be a list of words"),
-    ("waits", 3, "waits is 3 but the words hold 0"),
-    ("fillers", 1, "fillers is 1 but the words hold 0"),
-    # no field: the whole record is the value
-    (None, [1], "a record must be a JSON object"),
-    (None, "x", "a record must be a JSON object"),
-    (None, None, "a record must be a JSON object"),
-    (None, 5, "a record must be a JSON object"),
-], ids=["float-and-string-bool", "bool", "numeric-string", "integral-float", "number-word",
-        "null-word", "waits-count", "fillers-count", "list-record", "string-record",
-        "null-record", "number-record"])
-def test_verify_and_build_dataset_refuse_the_same_record(tmp_path, capsys, field, value,
-                                                         problem):
+def _good(**fields):
+    return {**_GOOD_RECORD, **fields}
+
+
+@pytest.mark.parametrize("record, problem", [
+    pytest.param(_good(links=[[0.9, 0], ["1", True]]), "malformed link [0.9, 0]",
+                 id="float-and-string-bool"),
+    pytest.param(_good(links=[[0, 0], [1, True]]), "malformed link [1, True]", id="bool"),
+    pytest.param(_good(links=[[0, 0], ["1", 1]]), "malformed link ['1', 1]", id="numeric-string"),
+    pytest.param(_good(links=[[0, 0], [1.0, 1]]), "malformed link [1.0, 1]", id="integral-float"),
+    pytest.param(_good(links=[[5, 0]]), "link (5,0) outside 2x2", id="link-out-of-bounds"),
+    # the bounds are the sentences without their markers
+    pytest.param({"source": ["a", FILLER_TOKEN], "target": ["x", "y"], "links": [[1, 0]]},
+                 "link (1,0) outside 1x2", id="link-on-a-filler"),
+    # a string would be read as its characters
+    pytest.param(_good(source="ab"), "source must be a list of words", id="string-source"),
+    pytest.param(_good(links=None), "links must be a list of index pairs", id="no-links"),
+    pytest.param(_good(source=["a", 7]), "source must be a list of words", id="number-word"),
+    pytest.param(_good(target=["x", None]), "target must be a list of words", id="null-word"),
+    pytest.param(_good(target=["x", 2]), "target must be a list of words",
+                 id="number-in-target"),
+    pytest.param(_good(waits=3), "waits is 3 but the words hold 0", id="waits-count"),
+    pytest.param(_good(fillers=1), "fillers is 1 but the words hold 0", id="fillers-count"),
+    pytest.param([1], "a record must be a JSON object", id="list-record"),
+    pytest.param("x", "a record must be a JSON object", id="string-record"),
+    pytest.param(None, "a record must be a JSON object", id="null-record"),
+    pytest.param(5, "a record must be a JSON object", id="number-record"),
+    # the causal invariants themselves
+    pytest.param(_good(links=[[1, 0]]), "causality violated: target 0 at position 0 < source 1",
+                 id="causality-violated"),
+    pytest.param({"source": ["a", FILLER_TOKEN, "b"], "target": ["x", "y", "z"],
+                  "links": [[0, 0]]}, "filler inside source body", id="filler-in-source-body"),
+    pytest.param({"source": ["a"], "target": ["x", "y", "z"], "links": [[0, 0]]},
+                 "length mismatch 1 != 3", id="length-mismatch"),
+    # a side with no word would leave no trim length to draw
+    pytest.param({"source": [], "target": [], "links": []}, "source holds no word",
+                 id="empty-record"),
+    pytest.param({"source": [FILLER_TOKEN], "target": [WAIT_TOKEN], "links": []},
+                 "source holds no word", id="marker-only-record"),
+    pytest.param(_good(target=[WAIT_TOKEN, WAIT_TOKEN], links=[]), "target holds no word",
+                 id="waits-only-target"),
+    # a marker on the wrong side would reach the training text
+    pytest.param(_good(source=["a", WAIT_TOKEN], links=[[0, 0]]), f"{WAIT_TOKEN} in source",
+                 id="wait-in-source"),
+    pytest.param(_good(target=["x", FILLER_TOKEN], links=[[0, 0]]), f"{FILLER_TOKEN} in target",
+                 id="filler-in-target"),
+])
+def test_verify_and_build_dataset_refuse_the_same_record(tmp_path, capsys, record, problem):
+    # build-dataset refuses exactly what verify reports, with its first violation
     causal = tmp_path / "causal.jsonl"
-    write_jsonl(causal, [_GOOD_RECORD, value if field is None else {**_GOOD_RECORD, field: value}])
+    write_jsonl(causal, [_GOOD_RECORD, record])
     assert main(["verify", str(causal)]) == EXIT_VERIFY
     out = capsys.readouterr().out
-    assert f"pair 2 ({causal}:2): {problem}\n" in out
     assert "pair 1 " not in out and "verified 2 pairs: 1 ok, 1 violating" in out
+    head = f"pair 2 ({causal}:2): "
+    violations = [line[len(head):] for line in out.splitlines() if line.startswith(head)]
+    assert violations[0] == problem
     sft_path = tmp_path / "sft.jsonl"
     assert main(["build-dataset", "--input", str(causal), "--output", str(sft_path)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {causal}: line 2: {problem}\n"
-    assert not sft_path.exists()
+    assert not sft_path.exists() and not (tmp_path / "sft.jsonl.meta.json").exists()
 
 
 @pytest.mark.parametrize("command", ["align", "build-dataset", "simulate", "simulate-dict",
