@@ -17,25 +17,7 @@ import numpy as np
 
 from . import _kernels, inputs
 from .errors import BoundsError, EmptyCorpus, InputMismatch, ParseError
-
-DEFAULT_ITERATIONS = 15
-
-
-@dataclass
-class AlignmentLinkSet:
-    links: set
-    source_len: int
-    target_len: int
-
-    def __post_init__(self):
-        for i, j in self.links:
-            if not (0 <= i < self.source_len and 0 <= j < self.target_len):
-                raise BoundsError(
-                    f"link ({i},{j}) outside {self.source_len}x{self.target_len}"
-                )
-
-    def sorted_links(self) -> list:
-        return sorted(self.links)
+from .links import DEFAULT_ITERATIONS, AlignmentLinkSet
 
 
 @dataclass

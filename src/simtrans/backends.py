@@ -12,15 +12,11 @@ suppressed after source exhaustion; honoring it is best-effort for remote
 backends and exact for the dictionary; replay serves the recorded unit.
 """
 
-import base64
-import http.client
+import http  # HttpBackend() imports http.client into it; see there
 import json
 import os
 import re
-import ssl
 import threading
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 from .errors import (
@@ -118,6 +114,13 @@ class HttpBackend:
     """
 
     def __init__(self, cfg: HttpBackendConfig):
+        # the http client's stdlib stack loads here, once, so that a run with
+        # another backend never pays for it; importing http.client makes it
+        # the attribute of the http package the functions below reach it by
+        import http.client  # noqa: F401
+        import ssl
+        import urllib.parse
+
         self.cfg = cfg
         try:
             url = urllib.parse.urlsplit(cfg.endpoint_url)
@@ -263,6 +266,10 @@ class HttpBackend:
         text = choice.get("text", "") if isinstance(choice, dict) else None
         if not isinstance(text, str):
             raise MalformedResponse(f"unexpected response shape: {data!r}")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no trace file can hold
+            raise MalformedResponse(f"completion {text!r} holds an unpaired surrogate") from None
         finish = choice.get("finish_reason")
 
         stripped = text.strip()
@@ -344,7 +351,7 @@ class _Channel:
     are opened and closed together.
     """
 
-    def __init__(self, conn: http.client.HTTPConnection):
+    def __init__(self, conn: "http.client.HTTPConnection"):
         self.conn = conn
         self.reader = None
 
@@ -457,6 +464,10 @@ def _proxy_for(url):
     names the proxy, which is spoken to in plain HTTP; NO_PROXY exempts
     hosts. Credentials in the proxy URL become a Proxy-Authorization header.
     """
+    import base64
+    import urllib.parse
+    import urllib.request
+
     proxies = urllib.request.getproxies_environment()
     proxy = proxies.get(url.scheme) or proxies.get("all")
     if not proxy or urllib.request.proxy_bypass_environment(url.netloc, proxies):

@@ -13,9 +13,9 @@ reaches a model.
 import json
 from dataclasses import dataclass
 
-from .aligner import AlignmentLinkSet
 from .errors import InputMismatch, ParseError
 from .inputs import json_lines, read_jsonl, unpaired_surrogate
+from .links import AlignmentLinkSet
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
 # what json.dumps(record, ensure_ascii=False) writes, without a new encoder per line

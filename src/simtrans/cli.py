@@ -6,8 +6,11 @@ defaults. Exit codes: 0 success, 1 usage or input error, 2 a run completed
 with per-session failures, 3 verification found violations.
 """
 
+# Every invocation pays this module's imports, so the layers that need numpy
+# (aligner, bleu, metrics, sft, rng) are imported by the commands that run
+# them: align, build-dataset and evaluate.
+
 import argparse
-import concurrent.futures
 import glob
 import json
 import math
@@ -15,7 +18,7 @@ import operator
 import os
 import sys
 
-from . import aligner, bleu, causal, engine, metrics, sft, streams
+from . import causal, engine, streams
 from .inputs import lines, read_json, read_jsonl, read_text
 from .backends import (
     DictionaryBackend,
@@ -25,8 +28,8 @@ from .backends import (
     ScriptedBackend,
 )
 from .errors import EmptyCorpus, SessionError, SimtransError
+from .links import DEFAULT_ITERATIONS
 from .prompt import DEFAULT_TARGET_LANGUAGE
-from .rng import make_rng
 from .tokenizer import tokenize
 from .units import MARKERS
 
@@ -89,7 +92,7 @@ def _integers(value):
 # SIMTRANS_<NAME> > default, casting and bounding a value from every source
 # alike, and sets each on args. Paths and on/off switches are plain flags.
 OPTIONS = {
-    "iterations": (_integer, aligner.DEFAULT_ITERATIONS, ">= 1", ("align",)),
+    "iterations": (_integer, DEFAULT_ITERATIONS, ">= 1", ("align",)),
     "seed": (_integer, 0, None, ("build-dataset", "evaluate")),
     "samples_per_pair": (_integer, 1, ">= 1", ("build-dataset",)),
     "target_language": (_string, DEFAULT_TARGET_LANGUAGE, None, ("build-dataset", "simulate")),
@@ -173,14 +176,23 @@ def _tokenize_line(path, n, text):
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 # ---------------------------------------------------------------- align
 
 def cmd_align(args) -> int:
+    from . import aligner
+
     tokenized = [
         (_tokenize_line(args.input, n, src), _tokenize_line(args.input, n, tgt))
         for n, src, tgt in _read_pair_file(args.input)
@@ -210,6 +222,8 @@ def cmd_align(args) -> int:
 # ---------------------------------------------------------- build-dataset
 
 def cmd_build_dataset(args) -> int:
+    from . import sft
+
     corpus = causal.read_corpus(args.input)
     cfg = sft.SftConfig(
         seed=args.seed, samples_per_pair=args.samples_per_pair,
@@ -316,7 +330,9 @@ def cmd_simulate(args) -> int:
 
     try:
         if args.workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
                 failures = sum(pool.map(run_one, jobs))
         else:
             failures = sum(map(run_one, jobs))
@@ -386,10 +402,10 @@ def _read_traces(directory):
 
 
 def _waited_words(path, rec):
-    """metrics.waited_words of one trace, which checks each event for what
+    """engine.waited_words of one trace, which checks each event for what
     wait_histogram and ReplayBackend read, with its error checked too."""
     try:
-        waited = metrics.waited_words(rec.get("events", []))
+        waited = engine.waited_words(rec.get("events", []))
     except (TypeError, KeyError) as exc:
         raise SimtransError(f"{path}: events must be a list of event records") from exc
     if not (rec.get("error") is None or isinstance(rec["error"], str)):
@@ -398,6 +414,9 @@ def _waited_words(path, rec):
 
 
 def cmd_evaluate(args) -> int:
+    from . import bleu, metrics
+    from .rng import make_rng
+
     traces = _read_traces(args.traces)
     if args.histogram:
         # every input is read before the first output is written

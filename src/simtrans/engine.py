@@ -143,6 +143,32 @@ def _events_json(events):
     return "[" + ", ".join(parts) + "]"
 
 
+def waited_words(events) -> list:
+    """The source word read last before each wait event of one session.
+
+    events are the session's trace event records; one that is not a read or
+    a write of a string word, a wait or an eos raises TypeError or KeyError,
+    so this one walk also checks them.
+    """
+    waited = []
+    last_read = None
+    for event in events:
+        kind = event["kind"]
+        if kind == "read":
+            last_read = event["word"]
+            if type(last_read) is not str:  # JSON decodes a string as str itself
+                raise TypeError(event)
+        elif kind == "wait":
+            if last_read is not None:
+                waited.append(last_read)
+        elif kind == "write":
+            if type(event["word"]) is not str:
+                raise TypeError(event)
+        elif kind != "eos":
+            raise TypeError(event)
+    return waited
+
+
 def _ms_since(started):
     return (time.monotonic() - started) * 1000.0
 

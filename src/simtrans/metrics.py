@@ -22,6 +22,7 @@ import numpy as np
 
 from .bleu import batch_stats, bleu_from_stats
 from .bleu import corpus_bleu  # noqa: F401  (stays importable from this module)
+from .engine import waited_words  # noqa: F401  (stays importable from this module)
 from .errors import DegenerateInput, InputMismatch
 
 _PLAIN_REALS = frozenset((int, float))
@@ -147,32 +148,6 @@ class WaitHistogram:
     @property
     def function_share(self) -> float:
         return self.function_count / self.total if self.total else 0.0
-
-
-def waited_words(events) -> list:
-    """The source word read last before each wait event of one session.
-
-    events are the session's trace event records; one that is not a read or
-    a write of a string word, a wait or an eos raises TypeError or KeyError,
-    so this one walk also checks them.
-    """
-    waited = []
-    last_read = None
-    for event in events:
-        kind = event["kind"]
-        if kind == "read":
-            last_read = event["word"]
-            if type(last_read) is not str:  # JSON decodes a string as str itself
-                raise TypeError(event)
-        elif kind == "wait":
-            if last_read is not None:
-                waited.append(last_read)
-        elif kind == "write":
-            if type(event["word"]) is not str:
-                raise TypeError(event)
-        elif kind != "eos":
-            raise TypeError(event)
-    return waited
 
 
 def wait_histogram(sessions, function_words) -> WaitHistogram:

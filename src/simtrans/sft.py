@@ -81,11 +81,17 @@ def make_sample(pair: CausalPair, l: int, system_message: str) -> SftSample:
 
 
 def emit_samples(corpus, cfg: SftConfig):
-    """Deterministic sample stream: same seed, same bytes."""
+    """Deterministic sample stream: same seed, same bytes.
+
+    A pair with no aligned position has no trim length to draw: RangeError
+    names it by its 1-based place in corpus.
+    """
     rng = make_rng(cfg.seed)
     system_message = interpreter_system_message(cfg.target_language)
-    for pair in corpus:
+    for n, pair in enumerate(corpus, start=1):
         length = pair.aligned_length()
+        if length < 1:
+            raise RangeError(f"pair {n} has no aligned position to trim")
         for _ in range(cfg.samples_per_pair):
             l = int(rng.integers(1, length + 1))
             yield make_sample(pair, l, system_message)

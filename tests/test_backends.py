@@ -563,6 +563,26 @@ def test_simulate_http_malformed_completion_fails_the_session(tmp_path, raw_serv
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_simulate_http_completion_with_a_lone_surrogate_fails_only_its_session(
+        tmp_path, raw_server, no_proxy_env, capsys):
+    surrogate = b'{"choices": [{"text": "\\ud800", "finish_reason": "length"}]}'
+    end = b'{"choices": [{"text": "", "finish_reason": "stop"}]}'
+    server = raw_server([(_sized(b"HTTP/1.1 200 OK", surrogate), False),
+                         (_sized(b"HTTP/1.1 200 OK", end), False)])
+    test_set = tmp_path / "test.jsonl"
+    test_set.write_text("".join(json.dumps({"source": s, "target": s}) + "\n" for s in "ab"))
+    out_dir = tmp_path / "traces"
+    assert cli_main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
+                     "--backend", "http", "--k", "1", "--retries", "0",
+                     "--endpoint", f"http://127.0.0.1:{server.port}/v1/completions"]) == 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["0000_k1.json", "0001_k1.json"]
+    failed = json.loads((out_dir / "0000_k1.json").read_text(encoding="utf-8"))
+    assert failed["error"] == "completion '\\ud800' holds an unpaired surrogate"
+    ended = json.loads((out_dir / "0001_k1.json").read_text(encoding="utf-8"))
+    assert ended["finished"] and ended["hypothesis"] == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_http_host_header_as_http_client_writes_it():
     # hosts a proxied request line cannot carry, so not reachable above
     assert backends._host_header("bücher.example", 8443, 443) == "xn--bcher-kva.example:8443"

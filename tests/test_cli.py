@@ -1204,12 +1204,70 @@ def test_simulate_target_language_flag_beats_config(tmp_path, monkeypatch):
     assert prompts[0] == build_prompt(["a"], [], interpreter_system_message("French"))
 
 
-def test_cli_imports_without_requests():
+# what a command that runs no aligner, BLEU, metrics or sampling code, no http
+# backend and one worker has no use for: numpy and the http client's stack
+_HEAVY = ("numpy", "http.client", "ssl", "email.parser", "concurrent.futures")
+
+
+def _heavy_modules_after(code):
+    """The _HEAVY modules a fresh interpreter has loaded once code has run."""
     src = Path(simtrans.__file__).resolve().parents[1]
-    code = "import sys; sys.modules['requests'] = None; import simtrans.cli"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+    probe = (f"{code}\nimport sys\n"
+             f"print('loaded:', *(m for m in {_HEAVY!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()  # after what the command printed
+    assert last[0] == "loaded:", proc.stdout
+    return last[1:]
+
+
+def test_cli_imports_without_requests():
+    code = "import sys; sys.modules['requests'] = None; import simtrans.cli"
+    assert _heavy_modules_after(code) == []
+    assert _heavy_modules_after("import simtrans") == []
+
+
+def _main_code(argv, expected):
+    return (f"from simtrans.cli import main\n"
+            f"assert main({list(map(str, argv))!r}) == {expected}")
+
+
+@pytest.mark.parametrize("name", ["verify", "dict", "scripted", "replay", "help"])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, name):
+    test_set = FIXTURES / "evaluate" / "test.jsonl"
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([["x", "<EOS>"]] * 8))
+    simulate = ["simulate", "--input", test_set, "--out-dir", tmp_path / "traces", "--k", "1,3"]
+    argv, expected = {
+        "verify": (["verify", GOLDEN / "fixture_align_causal.jsonl"], EXIT_OK),
+        # two fixture sentences fail on purpose; see the golden traces
+        "dict": ([*simulate, "--dict-file", FIXTURES / "evaluate" / "dict.json"], EXIT_PARTIAL),
+        "scripted": ([*simulate, "--backend", "scripted", "--script-file", script], EXIT_OK),
+        "replay": ([*simulate, "--backend", "replay", "--recording", GOLDEN / "fixture_traces"],
+                   EXIT_PARTIAL),
+        "help": (["--help"], EXIT_OK),
+    }[name]
+    assert _heavy_modules_after(_main_code(argv, expected)) == []
+
+
+def test_the_http_backend_loads_the_http_client_without_numpy(tmp_path):
+    test_set = tmp_path / "test.jsonl"
+    write_jsonl(test_set, [{"source": "a", "target": "x"}])
+    # nothing listens on port 9 of the loopback: the one session fails
+    argv = ["simulate", "--input", test_set, "--out-dir", tmp_path / "traces",
+            "--backend", "http", "--endpoint", "http://127.0.0.1:9/v1", "--retries", "0"]
+    loaded = _heavy_modules_after(_main_code(argv, EXIT_PARTIAL))
+    assert "http.client" in loaded and "numpy" not in loaded
+
+
+def test_every_public_name_resolves_and_is_listed():
+    assert simtrans.__all__
+    for name in simtrans.__all__:
+        getattr(simtrans, name)
+        assert name in dir(simtrans)
+    with pytest.raises(AttributeError):
+        simtrans.no_such_name
 
 
 def test_config_precedence(tmp_path, toy_corpus, monkeypatch):
@@ -1258,3 +1316,9 @@ def test_config_precedence(tmp_path, toy_corpus, monkeypatch):
 def test_usage_error_exit_code():
     assert main(["simulate", "--backend", "bogus"]) == EXIT_USAGE
     assert main(["not-a-command"]) == EXIT_USAGE
+
+
+def test_a_write_that_fails_leaves_no_temporary_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(tmp_path / "0000_k1.json", "\ud800")
+    assert list(tmp_path.iterdir()) == []

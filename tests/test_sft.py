@@ -152,3 +152,9 @@ def test_training_meta_values():
 def test_samples_per_pair_validation():
     with pytest.raises(ValueError):
         SftConfig(samples_per_pair=0)
+
+
+def test_a_pair_with_no_aligned_position_is_refused_by_its_place():
+    empty = CausalPair([], [], AlignmentLinkSet(set(), 0, 0))
+    with pytest.raises(RangeError, match="^pair 2 has no aligned position to trim$"):
+        list(emit_samples([example_pair(), empty], SftConfig()))
