@@ -15,30 +15,33 @@ Writes are therefore gated on at least k revealed words (fewer only when the
 whole stream is shorter than k). Once the stream is exhausted reveals become
 no-ops and generation keeps going until end-of-sentence; a wait arriving then
 is discarded, the backend is re-asked with waits suppressed, and three
-consecutive suppressed waits abort the session as a livelock.
+consecutive suppressed waits abort the session as a livelock. Writes after
+exhaustion are bounded too: more than MAX_TAIL_WRITES_PER_WORD of them per
+revealed source word (or in all, for an empty source) abort it as a runaway.
 
 The prompt is a prompt.StepPrompt: the revealed and committed lists
 themselves, which the backend reads during its call and never changes, and
 text rendered only for a backend that asks for it, so a step costs the same
 however long the sentence is.
 
-Events are recorded as the dicts the trace file holds, keys in this order:
-kind (read | write | wait | eos), the stream clock after the event, word
-(read, write), g (write: source consumed at commit), wall_ms (wall_clock).
+Each event is written once, as it happens, as the JSON text the trace file
+holds, keys in this order: kind (read | write | wait | eos), the stream clock
+after the event, word (read, write), g (write: source consumed at commit),
+wall_ms (wall_clock). SessionTrace keeps that text; its events decode it.
 """
 
 import json
 import time
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 
-from .errors import SessionError, SimtransError, WaitOverflow
+from .errors import SessionError, SimtransError, WaitOverflow, WriteOverflow
 from .prompt import DEFAULT_TARGET_LANGUAGE, StepPrompt, interpreter_system_message
 from .streams import SourceStream, TextStream
 from .units import Signal, WAIT_TOKEN
 
 MAX_SUPPRESSED_WAITS = 3
+MAX_TAIL_WRITES_PER_WORD = 4
 _WAIT, _EOS = Signal.WAIT, Signal.EOS
 
 
@@ -49,7 +52,7 @@ class EngineConfig:
     wall_clock: bool = False       # stamp events and measure processing time
 
 
-@dataclass
+@dataclass(init=False)
 class SessionTrace:
     source_words: list
     hypothesis_words: list
@@ -57,90 +60,76 @@ class SessionTrace:
     k: int
     mode: str             # text | speech
     source_total: float   # |x| in words, or audio ms
-    events: list = field(default_factory=list)  # event records, as in the file
+    events_json: str      # the events as the trace file holds them: one JSON array
     error: str = None     # None once the backend ended the session
     processing_ms: float = None
     session_id: str = None
+
+    def __init__(self, source_words, hypothesis_words, delays, k, mode, source_total,
+                 events=(), error=None, processing_ms=None, session_id=None):
+        self.source_words = source_words
+        self.hypothesis_words = hypothesis_words
+        self.delays = delays
+        self.k = k
+        self.mode = mode
+        self.source_total = source_total
+        self.events = events
+        self.error = error
+        self.processing_ms = processing_ms
+        self.session_id = session_id
+
+    @property
+    def events(self) -> list:
+        """The event records, decoded from events_json on each read."""
+        return json.loads(self.events_json)
+
+    @events.setter
+    def events(self, records):
+        self.events_json = json.dumps(records, ensure_ascii=False)
 
     @property
     def finished(self) -> bool:
         return self.error is None
 
+    def _head(self) -> dict:
+        """The record's fields before its events."""
+        return {"id": self.session_id, "k": self.k, "mode": self.mode,
+                "source": self.source_words, "hypothesis": self.hypothesis_words,
+                "delays_ms" if self.mode == "speech" else "delays_words": self.delays,
+                "source_total": self.source_total, "finished": self.finished,
+                "error": self.error}
+
     def to_record(self) -> dict:
-        delays_key = "delays_ms" if self.mode == "speech" else "delays_words"
-        rec = {
-            "id": self.session_id,
-            "k": self.k,
-            "mode": self.mode,
-            "source": self.source_words,
-            "hypothesis": self.hypothesis_words,
-            delays_key: self.delays,
-            "source_total": self.source_total,
-            "finished": self.finished,
-            "error": self.error,
-            "events": self.events,
-        }
+        rec = self._head()
+        rec["events"] = self.events
         if self.processing_ms is not None:
             rec["processing_ms"] = self.processing_ms
         return rec
 
     def to_json(self) -> str:
-        """json.dumps(self.to_record(), ensure_ascii=False), the events
-        written by template when each has a shape and values the engine writes."""
-        rec = self.to_record()
-        events = _events_json(rec["events"])
-        if events is None:
-            return json.dumps(rec, ensure_ascii=False)
-        del rec["events"]
-        processing_ms = rec.pop("processing_ms", None)  # the key after events
-        text = json.dumps(rec, ensure_ascii=False)[:-1] + ', "events": ' + events
-        if processing_ms is not None:
-            text += ', "processing_ms": ' + json.dumps(processing_ms)
+        """json.dumps(self.to_record(), ensure_ascii=False), the events as the
+        text they are kept as."""
+        text = json.dumps(self._head(), ensure_ascii=False)[:-1] + ', "events": ' + self.events_json
+        if self.processing_ms is not None:
+            text += ', "processing_ms": ' + json.dumps(self.processing_ms, ensure_ascii=False)
         return text + "}"
 
 
-# The keys of each event the engine writes without a wall clock, and the
-# json.dumps text of its values: json writes an int or a finite float as its
-# repr, and a str as encode_basestring escapes it.
-_READ = ("kind", "clock", "word")
-_WRITE = ("kind", "clock", "word", "g")
-_BARE = ("kind", "clock")
-_READ_JSON = '{"kind": "read", "clock": %r, "word": %s}'
-_WRITE_JSON = '{"kind": "write", "clock": %r, "word": %s, "g": %r}'
-_BARE_JSON = '{"kind": "%s", "clock": %r}'
-
-
-def _events_json(events):
-    """json.dumps(events, ensure_ascii=False) when each event is a read,
-    write, wait or eos with the engine's keys in the engine's order and its
-    numbers are ints or finite floats; None for anything else."""
-    if type(events) is not list:
-        return None
-    enc = encode_basestring
-    parts = []
-    add = parts.append
-    try:
-        for e in events:
-            keys = tuple(e)
-            kind = e["kind"]
-            clock = e["clock"]
-            # a bool, a float subclass, a NaN or an infinity is written otherwise
-            if type(clock) is not int and (type(clock) is not float or clock - clock):
-                return None
-            if keys == _READ and kind == "read":
-                add(_READ_JSON % (clock, enc(e["word"])))
-            elif keys == _WRITE and kind == "write":
-                g = e["g"]
-                if type(g) is not int and (type(g) is not float or g - g):
-                    return None
-                add(_WRITE_JSON % (clock, enc(e["word"]), g))
-            elif keys == _BARE and (kind == "wait" or kind == "eos"):
-                add(_BARE_JSON % (kind, clock))
-            else:
-                return None  # another shape, wall_ms included
-    except (TypeError, KeyError):  # no dict, no kind or clock, a word that is no str
-        return None
-    return "[" + ", ".join(parts) + "]"
+def _json(value, escaped):
+    """json.dumps(value, ensure_ascii=False) of a clock or word. A plain str
+    is escaped once per session, its text kept in escaped; an int and a
+    finite float are their repr. Anything else, such as a bool, np.float64,
+    a NaN, an infinity, a str subclass or a word that is no str, is written
+    by json itself, and raises where json does."""
+    kind = type(value)
+    if kind is str:
+        text = escaped.get(value)
+        if text is None:
+            text = escaped[value] = encode_basestring(value)
+        return text
+    if kind is int or kind is float and value - value == 0:
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False)
 
 
 def waited_words(events) -> list:
@@ -173,6 +162,11 @@ def _ms_since(started):
     return (time.monotonic() - started) * 1000.0
 
 
+def _wall_ms(started):
+    """The end of an event's text under a wall clock."""
+    return f', "wall_ms": {_ms_since(started)!r}}}'
+
+
 def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTrace:
     """Run one streaming session to completion and return its trace.
 
@@ -185,47 +179,51 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
     if not isinstance(source, SourceStream):
         source = TextStream(source)
 
-    system_message = (
-        interpreter_system_message(cfg.target_language) if cfg.include_system else None
-    )
+    system_message = interpreter_system_message(cfg.target_language) if cfg.include_system else None
     started = time.monotonic() if cfg.wall_clock else None
     stream = iter(source)
     total = source.total_clock
     next_unit = backend.next_unit
-    revealed, committed, delays, events = [], [], [], []
-    clock = 0.0
+    revealed, committed, delays = [], [], []
+    events = []   # each event's JSON text
+    escaped = {}  # each distinct word's JSON text
+    clock, clock_json = 0.0, "0.0"
+    total_json = _json(total, escaped)
 
     def make_trace(error=None):
-        return SessionTrace(
-            source_words=list(revealed),
-            hypothesis_words=list(committed),
-            delays=list(delays),
-            k=k,
-            mode=source.mode,
-            source_total=total if total is not None else clock,
-            events=list(events),
-            error=error,
-            processing_ms=None if started is None else _ms_since(started),
-        )
+        trace = SessionTrace(list(revealed), list(committed), list(delays), k, source.mode,
+                             total if total is not None else clock, error=error,
+                             processing_ms=None if started is None else _ms_since(started))
+        trace.events_json = "[" + ", ".join(events) + "]"
+        return trace
 
     to_read = k        # source words to reveal before the next step
     exhausted = False  # the stream has ended; reveals are no-ops from then on
     unit = None
     suppress_wait = False
     suppressed_run = 0
+    tail_writes = 0    # writes that found the stream ended
     while True:
-        seen = len(revealed)
-        if not exhausted:
-            for word, clock in islice(stream, to_read):
-                revealed.append(word)
-                event = {"kind": "read", "clock": clock, "word": word}
-                if started is not None:
-                    event["wall_ms"] = _ms_since(started)
-                events.append(event)
-            exhausted = len(revealed) - seen < to_read
-        if unit is _WAIT and len(revealed) == seen:
-            # the stream is dry: the last wait revealed nothing
-            if suppress_wait:
+        while to_read and not exhausted:
+            try:
+                word, clock = next(stream)
+            except StopIteration:
+                exhausted = True
+                break
+            to_read -= 1
+            revealed.append(word)
+            clock_json = _json(clock, escaped)
+            end = "}" if started is None else _wall_ms(started)
+            events.append(f'{{"kind": "read", "clock": {clock_json}, '
+                          f'"word": {_json(word, escaped)}{end}')
+        if exhausted and unit is not None:
+            # the stream is dry: the last write or wait revealed nothing
+            if unit is not _WAIT:
+                tail_writes += 1
+                if tail_writes > MAX_TAIL_WRITES_PER_WORD * max(len(revealed), 1):
+                    err = "backend kept writing after source exhaustion"
+                    raise WriteOverflow(err, partial_trace=make_trace(error=err))
+            elif suppress_wait:
                 suppressed_run += 1
                 if suppressed_run >= MAX_SUPPRESSED_WAITS:
                     err = "backend kept waiting after source exhaustion"
@@ -241,27 +239,26 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
             raise SessionError(str(exc), partial_trace=make_trace(error=str(exc))) from exc
         to_read = 1
 
-        if unit is _WAIT:
-            event = {"kind": "wait", "clock": clock}
-        elif unit is _EOS:
-            event = {"kind": "eos", "clock": clock}
-        else:
-            word = unit
+        if unit is not _WAIT and unit is not _EOS:
             # a word is non-empty and holds no whitespace: it splits to itself
-            if not isinstance(word, str) or word.split() != [word]:
-                err = f"backend returned invalid word unit {word!r}"
+            if not isinstance(unit, str) or unit.split() != [unit]:
+                err = f"backend returned invalid word unit {unit!r}"
                 raise SessionError(err, partial_trace=make_trace(error=err))
-            if word == WAIT_TOKEN:
+            if unit == WAIT_TOKEN:
                 err = "backend returned the wait literal as a word unit"
                 raise SessionError(err, partial_trace=make_trace(error=err))
-            committed.append(word)
-            g = clock if total is None else min(clock, total)
+        end = "}" if started is None else _wall_ms(started)
+        if unit is _WAIT:
+            events.append(f'{{"kind": "wait", "clock": {clock_json}{end}')
+        elif unit is _EOS:
+            events.append(f'{{"kind": "eos", "clock": {clock_json}{end}')
+            return make_trace()
+        else:
+            committed.append(unit)
+            g, g_json = ((total, total_json) if total is not None and total < clock
+                         else (clock, clock_json))  # min(clock, total)
             delays.append(g)
-            event = {"kind": "write", "clock": clock, "word": word, "g": g}
+            events.append(f'{{"kind": "write", "clock": {clock_json}, '
+                          f'"word": {_json(unit, escaped)}, "g": {g_json}{end}')
             suppress_wait = False
             suppressed_run = 0
-        if started is not None:
-            event["wall_ms"] = _ms_since(started)
-        events.append(event)
-        if unit is _EOS:
-            return make_trace()

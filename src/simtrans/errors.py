@@ -45,6 +45,10 @@ class WaitOverflow(SessionError):
     """The backend kept emitting wait units past the livelock guard."""
 
 
+class WriteOverflow(SessionError):
+    """The backend kept writing words past the bound after source exhaustion."""
+
+
 class ScriptUnderrun(SimtransError):
     """A scripted backend ran out of units before emitting end-of-sentence."""
 

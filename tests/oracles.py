@@ -9,7 +9,8 @@ every tick, latency metrics each by its own formula and its own pass,
 evaluation that re-tokenizes and re-counts every sentence of every
 resample from its strings, prompt words parsed back from the
 prompt text, tokenization that scans every character of every chunk, and
-SFT lines and traces that json.dumps encodes whole.
+SFT lines and traces that json.dumps encodes whole, an engine trace rebuilt
+from the source items and backend units its session saw.
 """
 
 import json
@@ -31,6 +32,7 @@ from simtrans.tokenizer import (
     _normalize_suffix,
     _peel_contractions,
 )
+from simtrans.units import Signal
 
 WAIT = "<WAIT>"
 FILLER = "<FILLER>"
@@ -179,9 +181,57 @@ def sft_line(sample):
     return json.dumps(sample.to_record(), ensure_ascii=False) + "\n"
 
 
-def trace_json(trace):
-    """The text of one trace file, its whole record through json.dumps."""
-    return json.dumps(trace.to_record(), ensure_ascii=False)
+def trace_json(session_id, k, mode, source, hypothesis, delays, source_total, error, events,
+               processing_ms=None):
+    """The text of one trace file, its record built from these fields, keys
+    in the documented order, and encoded whole by json.dumps."""
+    rec = {"id": session_id, "k": k, "mode": mode, "source": source, "hypothesis": hypothesis,
+           "delays_ms" if mode == "speech" else "delays_words": delays,
+           "source_total": source_total, "finished": error is None, "error": error,
+           "events": events}
+    if processing_ms is not None:
+        rec["processing_ms"] = processing_ms
+    return json.dumps(rec, ensure_ascii=False)
+
+
+def session_trace_json(steps, k, mode, total, error=None, ticks=None):
+    """The trace text of one engine session, rebuilt from what happened in it.
+
+    steps are, in order, ("read", word, clock) for each item the source
+    yielded and ("unit", unit) for each backend answer. A wait or an eos is
+    stamped with the clock of the last read (0.0 before any), a word with it
+    and g = min(clock, total); a unit that is no word the engine accepts is
+    not recorded. ticks, under a wall clock, are the monotonic readings the
+    session took: its start, one per event, then one at its end.
+    """
+    if ticks is not None:
+        start = next(ticks)
+
+    def stamp():
+        return (next(ticks) - start) * 1000.0
+
+    events, source, hypothesis, delays = [], [], [], []
+    clock = 0.0
+    for step in steps:
+        if step[0] == "read":
+            _, word, clock = step
+            source.append(word)
+            event = {"kind": "read", "clock": clock, "word": word}
+        elif step[1] is Signal.WAIT or step[1] is Signal.EOS:
+            event = {"kind": "wait" if step[1] is Signal.WAIT else "eos", "clock": clock}
+        elif isinstance(step[1], str) and step[1].split() == [step[1]] and step[1] != WAIT:
+            g = clock if total is None else min(clock, total)
+            hypothesis.append(step[1])
+            delays.append(g)
+            event = {"kind": "write", "clock": clock, "word": step[1], "g": g}
+        else:
+            continue
+        if ticks is not None:
+            event["wall_ms"] = stamp()
+        events.append(event)
+    return trace_json(None, k, mode, source, hypothesis, delays,
+                      clock if total is None else total, error, events,
+                      None if ticks is None else stamp())
 
 
 def asr_rescan(end_ms, total_ms, window_ms):

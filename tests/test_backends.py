@@ -2,13 +2,16 @@ import json
 import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
-from simtrans import backends
+from simtrans import backends, engine
 from simtrans.backends import (
     DictionaryBackend,
     HttpBackend,
@@ -561,6 +564,36 @@ def test_simulate_http_malformed_completion_fails_the_session(tmp_path, raw_serv
     trace = json.loads((out_dir / "0000_k1.json").read_text(encoding="utf-8"))
     assert not trace["finished"] and "unexpected response shape" in trace["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_http_runaway_writer_fails_only_its_session(tmp_path, raw_server, no_proxy_env):
+    # a server that answers one more word to every call would keep a session
+    # going forever; the engine's write cap ends it, in a process the test
+    # bounds in time. "a b" at k=1 takes one write to reveal "b", then
+    # 2 * cap writes that find the source ended and one past the cap.
+    calls = 2 + 2 * engine.MAX_TAIL_WRITES_PER_WORD
+    word = b'{"choices": [{"text": "x", "finish_reason": "length"}]}'
+    end = b'{"choices": [{"text": "", "finish_reason": "stop"}]}'
+    server = raw_server([(_sized(b"HTTP/1.1 200 OK", word), False)] * calls
+                        + [(_sized(b"HTTP/1.1 200 OK", end), False)])
+    test_set = tmp_path / "test.jsonl"
+    test_set.write_text("".join(json.dumps({"source": s, "target": s}) + "\n"
+                                for s in ["a b", "c"]))
+    out_dir = tmp_path / "traces"
+    src = Path(engine.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "simtrans.cli", "simulate", "--input", str(test_set),
+         "--out-dir", str(out_dir), "--backend", "http", "--k", "1", "--retries", "0",
+         "--endpoint", f"http://127.0.0.1:{server.port}/v1/completions"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert len(server.requests) == calls + 1
+    failed = json.loads((out_dir / "0000_k1.json").read_text(encoding="utf-8"))
+    assert failed["error"] == "backend kept writing after source exhaustion"
+    assert failed["hypothesis"] == ["x"] * calls
+    ended = json.loads((out_dir / "0001_k1.json").read_text(encoding="utf-8"))
+    assert ended["finished"] and ended["hypothesis"] == []
 
 
 def test_simulate_http_completion_with_a_lone_surrogate_fails_only_its_session(

@@ -1,3 +1,7 @@
+import itertools
+import json
+
+import numpy as np
 import pytest
 
 import oracles
@@ -5,9 +9,15 @@ from simtrans import engine
 from simtrans import prompt as prompt_module
 from simtrans.backends import DictionaryBackend, ScriptedBackend
 from simtrans.engine import EngineConfig, SessionTrace, run_session
-from simtrans.errors import ScriptUnderrun, SessionError, WaitOverflow
+from simtrans.errors import ScriptUnderrun, SessionError, WaitOverflow, WriteOverflow
 from simtrans.prompt import build_prompt, interpreter_system_message
-from simtrans.streams import AsrSimConfig, AsrSimStream, TimedTranscript
+from simtrans.streams import (
+    AsrSimConfig,
+    AsrSimStream,
+    SourceStream,
+    TextStream,
+    TimedTranscript,
+)
 from simtrans.units import Signal, WAIT_TOKEN
 
 from conftest import GOLDEN
@@ -343,7 +353,8 @@ def _fuzz_event(rng):
 
 
 def test_trace_json_equals_json_dumps_fuzz(rng):
-    templated = fell_back = 0
+    # hand-built traces: the text of every record a SessionTrace can be built
+    # from is json.dumps of that record, odd events and all
     for _ in range(600):
         events = [_fuzz_event(rng) for _ in range(int(rng.integers(0, 12)))]
         roll = rng.random()
@@ -353,42 +364,168 @@ def test_trace_json_equals_json_dumps_fuzz(rng):
         elif roll < 0.5:
             events.insert(int(rng.integers(0, len(events) + 1)), _pick(rng, _ODD_EVENTS))
         words = [_pick(rng, _FUZZ_WORDS) for _ in range(int(rng.integers(0, 5)))]
-        trace = SessionTrace(
-            source_words=words,
-            hypothesis_words=words[::-1],
+        fields = dict(
+            source=words,
+            hypothesis=words[::-1],
             delays=[_pick(rng, _FUZZ_NUMBERS) for _ in words],
             k=int(rng.integers(1, 6)),
             mode=_pick(rng, ["text", "speech"]),
             source_total=_pick(rng, _FUZZ_NUMBERS),
             events=events,
             error=_pick(rng, [None, 'backend said "no"\n\u2028']),
-            processing_ms=_pick(rng, [None, *_FUZZ_NUMBERS, float("nan")]),
+            processing_ms=_pick(rng, [None, *_FUZZ_NUMBERS, float("nan"), "\u00e9"]),
             session_id=_pick(rng, ["0000", "id\\\u2029"]),
         )
-        assert trace.to_json() == oracles.trace_json(trace)
-        if engine._events_json(events) is None:
-            fell_back += 1
-        else:
-            templated += 1
-    # both ways of writing events were taken, often
-    assert templated > 200 and fell_back > 200
+        trace = SessionTrace(words, words[::-1], fields["delays"], fields["k"], fields["mode"],
+                             fields["source_total"], events=events, error=fields["error"],
+                             processing_ms=fields["processing_ms"],
+                             session_id=fields["session_id"])
+        assert trace.to_json() == oracles.trace_json(**fields)
+        # the events read back are the records they were built from, in the
+        # text json writes for them (a NaN is no equal of itself)
+        assert json.dumps(trace.events, ensure_ascii=False) == json.dumps(events, ensure_ascii=False)
     # events json cannot write stay unwritable, however engine-like each is
-    trace = SessionTrace([], [], [], 1, "text", 1, events=iter([{"kind": "eos", "clock": 1}]))
     with pytest.raises(TypeError, match="not JSON serializable"):
-        trace.to_json()
+        SessionTrace([], [], [], 1, "text", 1, events=iter([{"kind": "eos", "clock": 1}]))
 
 
-def test_run_session_traces_equal_json_dumps():
+class _LoggedSource(SourceStream):
+    """A source that logs each item as the engine takes it."""
+
+    def __init__(self, items, log, mode="text", total_clock=None):
+        self.items, self.log = items, log
+        self.mode, self.total_clock = mode, total_clock
+
+    def __iter__(self):
+        for word, clock in self.items:
+            self.log.append(("read", word, clock))
+            yield word, clock
+
+
+class _LoggedBackend:
+    """A backend that logs each unit it answers, from a script or another backend."""
+
+    def __init__(self, log, units=(), inner=None):
+        self.log, self.units, self.inner = log, iter(units), inner
+
+    def next_unit(self, prompt, allow_wait=True):
+        if self.inner is None:
+            unit = next(self.units, Signal.EOS)
+        else:
+            unit = self.inner.next_unit(prompt, allow_wait=allow_wait)
+        self.log.append(("unit", unit))
+        return unit
+
+
+def _ticks():
+    """Monotonic readings a wall clock takes: odd steps, so each wall_ms has a long repr."""
+    return (1000.0 + 0.0123456789 * i * i for i in itertools.count())
+
+
+def _run_logged(monkeypatch, source, backend, k, wall_clock, log):
+    """(run_session + to_json's text or the exception either raised, the oracle's
+    text or the exception json.dumps raised), the oracle fed by log alone."""
+    monkeypatch.setattr(engine.time, "monotonic", _ticks().__next__)
+    error = None
+    try:
+        try:
+            trace = run_session(source, backend, k, EngineConfig(wall_clock=wall_clock))
+        except SessionError as exc:
+            trace, error = exc.partial_trace, str(exc)
+        got = trace.to_json()
+    except (TypeError, ValueError) as exc:
+        got = type(exc)
+    try:
+        want = oracles.session_trace_json(log, k, source.mode, source.total_clock, error,
+                                          _ticks() if wall_clock else None)
+    except (TypeError, ValueError) as exc:
+        want = type(exc)
+    return got, want
+
+
+def test_run_session_traces_equal_json_dumps(monkeypatch):
     # the engine's own events, with and without a wall clock, in both modes
+    transcript = TimedTranscript(
+        words=[{"w": w, "end_ms": 33.3 * (i + 1)} for i, w in enumerate("abcd")], total_ms=140.0)
     for wall_clock in (False, True):
-        cfg = EngineConfig(wall_clock=wall_clock)
-        text = run_session(['"a"', "b\\", "c\U0001f600", "\x7f"],
-                           DictionaryBackend({}, lookahead=1), 2, cfg)
-        transcript = TimedTranscript(
-            words=[{"w": w, "end_ms": 33.3 * (i + 1)} for i, w in enumerate("abcd")],
-            total_ms=140.0)
-        speech = run_session(AsrSimStream(transcript, AsrSimConfig(window_ms=33.3)),
-                             DictionaryBackend({}), 1, cfg)
-        for trace in (text, speech):
-            assert trace.to_json() == oracles.trace_json(trace)
-            assert (engine._events_json(trace.events) is None) == wall_clock
+        for stream, backend, k in (
+                (TextStream(['"a"', "b\\", "c\U0001f600", "\x7f"]),
+                 DictionaryBackend({}, lookahead=1), 2),
+                (AsrSimStream(transcript, AsrSimConfig(window_ms=33.3)), DictionaryBackend({}), 1)):
+            log = []
+            source = _LoggedSource(list(stream), log, stream.mode, stream.total_clock)
+            got, want = _run_logged(monkeypatch, source, _LoggedBackend(log, inner=backend), k,
+                                    wall_clock, log)
+            assert isinstance(got, str) and got == want and ('"wall_ms"' in got) == wall_clock
+
+
+class _Word(str):
+    pass
+
+
+class _Clock(int):
+    pass
+
+
+# clocks and words json writes otherwise than a plain int, finite float or
+# str, or cannot write at all (np.int64, a set, bytes, a circular list)
+_circular = []
+_circular.append(_circular)
+_ODD_CLOCKS = [True, False, _Clock(3), np.float64(2.5), np.float64("nan"), float("nan"),
+               float("inf"), float("-inf"), -0.0, 1e16, 12345678901234567890, "7", None,
+               np.int64(4)]
+_ODD_WORDS = [_Word("wörd"), _Word('q"\\'), "\u2028", "\U0001f600", "tab\tnl\n", "\x00",
+              5, 2.5, None, True, ["a", 1], {"a": float("nan")}, b"x", {1, 2}, _circular]
+_FUZZ_UNITS = ["x", _Word("y\U0001f600"), "\U0001f600", 'sa"y', "two words", "", WAIT_TOKEN, 7]
+
+
+def test_engine_trace_json_equals_an_oracle_record_fuzz(monkeypatch, rng):
+    ran = raised = failed = 0
+    for _ in range(800):
+        log = []
+        n = int(rng.integers(0, 7))
+        words = [_pick(rng, _FUZZ_WORDS + _ODD_WORDS) if rng.random() < 0.3 else f"w{i}"
+                 for i in range(n)]
+        if rng.random() < 0.5:
+            clocks = [_pick(rng, _ODD_CLOCKS) if rng.random() < 0.3 else i + 1 for i in range(n)]
+        else:
+            clocks = [round(200.0 * (i + 1) + float(rng.random()), 3) for i in range(n)]
+        mode = _pick(rng, ["text", "speech"])
+        total = _pick(rng, [None, n, 150.0 * n, np.float64(150.0 * n), float("nan"),
+                            _pick(rng, _ODD_CLOCKS)])
+        units = []
+        for _ in range(int(rng.integers(0, 4 * n + 12))):
+            roll = rng.random()
+            units.append(Signal.WAIT if roll < 0.3 else Signal.EOS if roll < 0.33 else
+                         _pick(rng, _FUZZ_UNITS) if roll < 0.4 else f"h{len(units)}")
+        source = _LoggedSource(list(zip(words, clocks)), log, mode, total)
+        got, want = _run_logged(monkeypatch, source, _LoggedBackend(log, units),
+                                int(rng.integers(1, 4)), rng.random() < 0.5, log)
+        assert got == want, log
+        if not isinstance(want, str):
+            raised += 1
+        elif json.loads(want)["finished"]:
+            ran += 1
+        else:
+            failed += 1
+    # sessions ended, failed and raised, often
+    assert ran > 200 and failed > 100 and raised > 50, (ran, failed, raised)
+
+
+def test_writes_after_source_exhaustion_are_bounded():
+    cap = engine.MAX_TAIL_WRITES_PER_WORD
+    # on two source words, one write reveals "b" and the next 2 * cap find
+    # the source ended: one more and the session is a runaway
+    trace = run_session(["a", "b"], ScriptedBackend(["x"] * (1 + 2 * cap) + [Signal.EOS]), k=1)
+    assert trace.finished and len(trace.hypothesis_words) == 1 + 2 * cap
+    with pytest.raises(WriteOverflow) as exc_info:
+        run_session(["a", "b"], ScriptedBackend(["x"] * 1000), k=1)
+    trace = exc_info.value.partial_trace
+    assert trace.error == "backend kept writing after source exhaustion"
+    assert trace.source_words == ["a", "b"] and trace.hypothesis_words == ["x"] * (2 + 2 * cap)
+    assert [e["kind"] for e in trace.events][-2:] == ["write", "write"]
+    # an empty source still gets cap writes, and waits do not count
+    trace = run_session([], ScriptedBackend([Signal.WAIT, "x"] * cap + [Signal.EOS]), k=1)
+    assert trace.finished and len(trace.hypothesis_words) == cap
+    with pytest.raises(WriteOverflow):
+        run_session([], ScriptedBackend(["x"] * (cap + 1)), k=1)
