@@ -16,7 +16,6 @@ _EXPORTS = {
     "AlignmentLinkSet": "links",
     "TranslationTable": "aligner",
     "align_corpus": "aligner",
-    "align_pair": "aligner",
     "import_alignments": "aligner",
     "train_table": "aligner",
     "DictionaryBackend": "backends",
@@ -38,10 +37,7 @@ _EXPORTS = {
     "DelaySequence": "metrics",
     "LatencyReport": "metrics",
     "aggregate_report": "metrics",
-    "average_lagging": "metrics",
     "average_proportion": "metrics",
-    "differentiable_al": "metrics",
-    "length_adaptive_al": "metrics",
     "real_time_factor": "metrics",
     "score_sessions": "metrics",
     "tradeoff_curve": "metrics",
@@ -52,11 +48,9 @@ _EXPORTS = {
     "emit_samples": "sft",
     "training_meta": "sft",
     "trim_pair": "sft",
-    "AsrSimConfig": "streams",
     "AsrSimStream": "streams",
     "TextStream": "streams",
     "TimedTranscript": "streams",
-    "detokenize": "tokenizer",
     "tokenize": "tokenizer",
     "FILLER_TOKEN": "units",
     "Signal": "units",

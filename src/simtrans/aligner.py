@@ -215,10 +215,9 @@ def align_corpus(corpus, forward: TranslationTable, reverse: TranslationTable) -
 
     Pairs equal to those both tables were trained on, such as the training
     corpus or a copy of it, read the argmax EM took over its own layout, and
-    no table slot is searched. Any other pairs, held-out ones or
-    align_pair's single pair, take the general path: a layout over the
-    table's vocabulary, each event's probability found by slot search, then
-    the same argmax.
+    no table slot is searched. Any other pairs, such as held-out ones, take
+    the general path: a layout over the table's vocabulary, each event's
+    probability found by slot search, then the same argmax.
     """
     pairs = [(tuple(s), tuple(t)) for s, t in corpus]
     src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
@@ -238,11 +237,6 @@ def align_corpus(corpus, forward: TranslationTable, reverse: TranslationTable) -
         AlignmentLinkSet(links=ls, source_len=len(s), target_len=len(t))
         for ls, (s, t) in zip(links, pairs)
     ]
-
-
-def align_pair(src, tgt, forward: TranslationTable, reverse: TranslationTable) -> AlignmentLinkSet:
-    """Links of one pair; see align_corpus."""
-    return align_corpus([(src, tgt)], forward, reverse)[0]
 
 
 def parse_pharaoh_line(line: str, line_no: int = None, path=None) -> set:

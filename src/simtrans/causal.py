@@ -40,12 +40,6 @@ class CausalPair:
     def aligned_length(self) -> int:
         return len(self.source_words)
 
-    def stripped_source(self) -> list[str]:
-        return [w for w in self.source_words if w != FILLER_TOKEN]
-
-    def stripped_target(self) -> list[str]:
-        return [w for w in self.target_words if w != WAIT_TOKEN]
-
 
 def causal_align(src, tgt, links: AlignmentLinkSet) -> CausalPair:
     """Insert wait markers so every linked target word trails its source.

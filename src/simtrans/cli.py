@@ -286,8 +286,7 @@ def cmd_simulate(args) -> int:
         if not paths:
             raise SimtransError(f"no transcript files in {args.input}")
         transcripts = [streams.read_transcript(p) for p in paths]
-        asr_cfg = streams.AsrSimConfig(window_ms=args.window_ms)
-        make_stream = lambda idx: streams.AsrSimStream(transcripts[idx], asr_cfg)
+        make_stream = lambda idx: streams.AsrSimStream(transcripts[idx], args.window_ms)
         sources = transcripts
 
     shared = _build_shared_backend(args)
@@ -490,7 +489,8 @@ def cmd_evaluate(args) -> int:
                 scores[start:end], args.bootstrap, make_rng(args.seed), unit=unit, rtf=rtf
             )
 
-    # every group is scored before the first line is printed
+    # every group is scored, and the curve made, before the first line is printed
+    curve = metrics.tradeoff_curve(reports.items()) if args.curve else None
     for k, r in reports.items():
         print(f"k={k}: BLEU {r.bleu:.2f}  AL {r.al:.2f}  LAAL {r.laal:.2f}  "
               f"AP {r.ap:.3f}  DAL {r.dal:.2f}  ({r.unit})")
@@ -501,8 +501,7 @@ def cmd_evaluate(args) -> int:
         _atomic_write(args.report, json.dumps(out, ensure_ascii=False, indent=2) + "\n")
 
     if args.curve:
-        runs = [(k, r) for k, r in reports.items()]
-        _atomic_write(args.curve, metrics.tradeoff_curve(runs))
+        _atomic_write(args.curve, curve)
 
     if args.histogram:
         hist = metrics.wait_histogram(waited, function_words)
@@ -595,7 +594,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # a failed os.replace names the destination second
+        path = exc.filename if exc.filename2 is None else exc.filename2
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except SimtransError as exc:
         print(f"error: {exc}", file=sys.stderr)

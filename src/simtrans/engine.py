@@ -52,7 +52,7 @@ class EngineConfig:
     wall_clock: bool = False       # stamp events and measure processing time
 
 
-@dataclass(init=False)
+@dataclass
 class SessionTrace:
     source_words: list
     hypothesis_words: list
@@ -65,51 +65,24 @@ class SessionTrace:
     processing_ms: float = None
     session_id: str = None
 
-    def __init__(self, source_words, hypothesis_words, delays, k, mode, source_total,
-                 events=(), error=None, processing_ms=None, session_id=None):
-        self.source_words = source_words
-        self.hypothesis_words = hypothesis_words
-        self.delays = delays
-        self.k = k
-        self.mode = mode
-        self.source_total = source_total
-        self.events = events
-        self.error = error
-        self.processing_ms = processing_ms
-        self.session_id = session_id
-
     @property
     def events(self) -> list:
         """The event records, decoded from events_json on each read."""
         return json.loads(self.events_json)
 
-    @events.setter
-    def events(self, records):
-        self.events_json = json.dumps(records, ensure_ascii=False)
-
     @property
     def finished(self) -> bool:
         return self.error is None
 
-    def _head(self) -> dict:
-        """The record's fields before its events."""
-        return {"id": self.session_id, "k": self.k, "mode": self.mode,
+    def to_json(self) -> str:
+        """The trace file's record as json.dumps(..., ensure_ascii=False)
+        writes it, the events as the text they are kept as."""
+        head = {"id": self.session_id, "k": self.k, "mode": self.mode,
                 "source": self.source_words, "hypothesis": self.hypothesis_words,
                 "delays_ms" if self.mode == "speech" else "delays_words": self.delays,
                 "source_total": self.source_total, "finished": self.finished,
                 "error": self.error}
-
-    def to_record(self) -> dict:
-        rec = self._head()
-        rec["events"] = self.events
-        if self.processing_ms is not None:
-            rec["processing_ms"] = self.processing_ms
-        return rec
-
-    def to_json(self) -> str:
-        """json.dumps(self.to_record(), ensure_ascii=False), the events as the
-        text they are kept as."""
-        text = json.dumps(self._head(), ensure_ascii=False)[:-1] + ', "events": ' + self.events_json
+        text = json.dumps(head, ensure_ascii=False)[:-1] + ', "events": ' + self.events_json
         if self.processing_ms is not None:
             text += ', "processing_ms": ' + json.dumps(self.processing_ms, ensure_ascii=False)
         return text + "}"
@@ -191,11 +164,10 @@ def run_session(source, backend, k: int, cfg: EngineConfig = None) -> SessionTra
     total_json = _json(total, escaped)
 
     def make_trace(error=None):
-        trace = SessionTrace(list(revealed), list(committed), list(delays), k, source.mode,
-                             total if total is not None else clock, error=error,
-                             processing_ms=None if started is None else _ms_since(started))
-        trace.events_json = "[" + ", ".join(events) + "]"
-        return trace
+        return SessionTrace(list(revealed), list(committed), list(delays), k, source.mode,
+                            total if total is not None else clock, "[" + ", ".join(events) + "]",
+                            error=error,
+                            processing_ms=None if started is None else _ms_since(started))
 
     to_read = k        # source words to reveal before the next step
     exhausted = False  # the stream has ended; reveals are no-ops from then on

@@ -21,8 +21,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .bleu import batch_stats, bleu_from_stats
-from .bleu import corpus_bleu  # noqa: F401  (stays importable from this module)
-from .engine import waited_words  # noqa: F401  (stays importable from this module)
 from .errors import DegenerateInput, InputMismatch
 
 _PLAIN_REALS = frozenset((int, float))
@@ -71,18 +69,16 @@ class DelaySequence:
 
 
 def _lags(d: DelaySequence):
-    """(AL, LAAL, DAL, truncated) of d in one walk over g; LAAL is None
-    without a reference length, and truncated means g never reached |x|.
+    """(AL, LAAL, DAL, truncated) of d, which has delays and a reference
+    length, in one walk over g; truncated means g never reached |x|.
 
     AL and LAAL add g(t) - (t-1)/gamma for t up to tau, DAL adds
     g'(t) - (t-1)/gamma for every t, each left to right from 0.0.
     """
-    g, source_len, ref_len = d.g, d.source_len, d.ref_len
-    if not g:
-        raise DegenerateInput("empty hypothesis")
+    g, source_len = d.g, d.source_len
     n = len(g)
     gamma = n / source_len
-    gamma_laal = max(n, ref_len) / source_len if ref_len is not None else gamma
+    gamma_laal = max(n, d.ref_len) / source_len
     step = 1.0 / gamma
     al = laal = dal = 0.0
     tau = 0
@@ -100,7 +96,7 @@ def _lags(d: DelaySequence):
         dal += g_prime - lag
     truncated = not tau
     tau = tau or n
-    return al / tau, laal / tau if ref_len is not None else None, dal / n, truncated
+    return al / tau, laal / tau, dal / n, truncated
 
 
 def average_proportion(d: DelaySequence) -> float:
@@ -108,25 +104,6 @@ def average_proportion(d: DelaySequence) -> float:
         raise DegenerateInput("empty hypothesis")
     # sum, not a loop: Python 3.12's float sum is compensated
     return sum(d.g) / (d.source_len * d.hyp_len)
-
-
-def average_lagging(d: DelaySequence) -> float:
-    return _lags(d)[0]
-
-
-def length_adaptive_al(d: DelaySequence) -> float:
-    if d.g and d.ref_len is None:
-        raise DegenerateInput("reference length required")
-    return _lags(d)[1]
-
-
-def differentiable_al(d: DelaySequence) -> float:
-    return _lags(d)[2]
-
-
-def is_truncated(d: DelaySequence) -> bool:
-    """True when g never reaches the source length (tau fell back to |y|)."""
-    return not d.g or _lags(d)[3]
 
 
 def real_time_factor(processing_ms: float, audio_ms: float) -> float:
@@ -223,10 +200,10 @@ def score_sessions(delay_seqs, hyp_tokens, ref_tokens, ref_index) -> SessionScor
     truncated = np.zeros(n, dtype=bool)
     for i, d in enumerate(delay_seqs):
         if d.g:
+            if d.ref_len is None:
+                raise DegenerateInput("reference length required")
             scored[i] = True
             al, laal, dal, truncated[i] = _lags(d)
-            if laal is None:
-                raise DegenerateInput("reference length required")
             latency[:, i] = al, laal, average_proportion(d), dal
     al, laal, ap, dal = latency
     return SessionScores(bleu_stats, al, laal, ap, dal, scored, truncated)

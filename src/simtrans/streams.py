@@ -110,15 +110,6 @@ def write_transcript(transcript: TimedTranscript, path) -> None:
         fh.write("\n")
 
 
-@dataclass
-class AsrSimConfig:
-    window_ms: float = 200.0
-
-    def __post_init__(self):
-        if self.window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-
-
 class AsrSimStream(SourceStream):
     """Windowed exposure of a timed transcript.
 
@@ -131,9 +122,11 @@ class AsrSimStream(SourceStream):
 
     mode = "speech"
 
-    def __init__(self, transcript: TimedTranscript, cfg: AsrSimConfig = None):
+    def __init__(self, transcript: TimedTranscript, window_ms: float = 200.0):
+        if window_ms <= 0:
+            raise ValueError("window_ms must be positive")
         self.transcript = transcript
-        self.cfg = cfg or AsrSimConfig()
+        self.window_ms = window_ms
         self.total_clock = transcript.total_ms
 
     def __iter__(self):
@@ -141,7 +134,7 @@ class AsrSimStream(SourceStream):
         if not words:
             return
         total = self.transcript.total_ms
-        window = self.cfg.window_ms
+        window = self.window_ms
         n = len(words)
         emitted = 0
         visible = 0  # end times strictly increase, so the visible words are a prefix

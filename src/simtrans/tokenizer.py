@@ -12,10 +12,6 @@ external tokenizer:
 * English contraction suffixes ``n't 's 're 've 'll 'd 'm`` (straight or
   curly apostrophe) peel off as separate words, so ``don't`` -> ``do n't``;
 * anything not in the table (``%``, ``/``, ``@`` ...) stays inside its word.
-
-``detokenize`` inverts the table: closers attach left, openers attach right,
-straight double quotes alternate, contraction suffixes re-glue. Unspaced em
-dashes and spaced quotes normalize away; natural orthography round-trips.
 """
 
 import re
@@ -30,9 +26,6 @@ _SPLIT_CHARS = set(".,!?;:\"()[]{}—–…«»“”‘’¿¡-") | set(_APOSTR
 _CONTRACTION_SUFFIXES = {"n't", "'s", "'re", "'ve", "'ll", "'d", "'m"}
 
 _SUFFIX_RE = re.compile(r"(?i)(?:n['’]t|['’](?:re|ve|ll|s|d|m))$")
-
-_CLOSERS = {".", ",", "!", "?", ";", ":", ")", "]", "}", "…", "»", "”"}
-_OPENERS = {"(", "[", "{", "«", "“", "‘", "¿", "¡"}
 
 
 def _normalize_suffix(tok: str) -> str:
@@ -110,39 +103,3 @@ def tokenize(sentence: str) -> list[str]:
             words.extend(_split_chunk(chunk))
     return words
 
-
-def _attach_prev(tok: str) -> bool:
-    if tok in _CLOSERS:
-        return True
-    if tok == "’":  # bare curly close quote
-        return True
-    if len(tok) > 1 and tok[0] in _APOSTROPHES:
-        return True  # 's, 'll, possessive remainders
-    if _normalize_suffix(tok) == "n't":
-        return True
-    return False
-
-
-def detokenize(words) -> str:
-    """Join words back into surface text per the same rule table."""
-    out = []
-    glue_next = False
-    dq_open = False
-    for w in words:
-        attach_prev = False
-        attach_next = False
-        if w == '"':
-            attach_prev = dq_open
-            attach_next = not dq_open
-            dq_open = not dq_open
-        elif w == "'":
-            attach_next = True  # tokenize glues closing quotes to the word
-        elif w in _OPENERS:
-            attach_next = True
-        elif _attach_prev(w):
-            attach_prev = True
-        if out and not glue_next and not attach_prev:
-            out.append(" ")
-        out.append(w)
-        glue_next = attach_next
-    return "".join(out)

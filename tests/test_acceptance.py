@@ -9,25 +9,19 @@ import time
 
 import pytest
 
-from simtrans.aligner import AlignmentLinkSet, align_pair, train_table
+from simtrans.aligner import AlignmentLinkSet, align_corpus, train_table
 from simtrans.backends import ScriptedBackend
 from simtrans.causal import causal_align, write_corpus
 from simtrans.cli import EXIT_OK, main
 from simtrans.engine import run_session
 from simtrans.errors import WaitOverflow
-from simtrans.metrics import (
-    DelaySequence,
-    average_lagging,
-    average_proportion,
-    differentiable_al,
-    length_adaptive_al,
-)
+from simtrans.metrics import DelaySequence, average_proportion
 from simtrans.bleu import corpus_bleu
 from simtrans.rng import make_rng
-from simtrans.streams import AsrSimConfig, AsrSimStream, TimedTranscript
+from simtrans.streams import AsrSimStream, TimedTranscript
 from simtrans.units import Signal, WAIT_TOKEN
 
-from conftest import FIXTURES, GOLDEN, random_permutation_pair
+from conftest import FIXTURES, GOLDEN, lag_row, lag_rows, random_permutation_pair
 
 
 def _ok(n, label):
@@ -99,12 +93,13 @@ def test_criterion_03_wait_k_gate_fuzz():
 
 
 def test_criterion_04_metric_oracles():
+    # AL and DAL do not read ref_len; each is read from its score_sessions row
     checks = [
-        (average_lagging(DelaySequence(g=[1, 2, 3], source_len=3)), 1.0),
-        (average_lagging(DelaySequence(g=[2, 3, 3], source_len=3)), 2.0),
+        (lag_row(DelaySequence(g=[1, 2, 3], source_len=3, ref_len=3)).al, 1.0),
+        (lag_row(DelaySequence(g=[2, 3, 3], source_len=3, ref_len=3)).al, 2.0),
         (average_proportion(DelaySequence(g=[1, 2, 3], source_len=3)), 2.0 / 3.0),
-        (differentiable_al(DelaySequence(g=[3, 3, 3], source_len=3)), 3.0),
-        (length_adaptive_al(DelaySequence(g=[1, 2, 3], source_len=3, ref_len=6)), 1.5),
+        (lag_row(DelaySequence(g=[3, 3, 3], source_len=3, ref_len=3)).dal, 3.0),
+        (lag_row(DelaySequence(g=[1, 2, 3], source_len=3, ref_len=6)).laal, 1.5),
     ]
     for got, want in checks:
         assert got == pytest.approx(want, abs=1e-9)
@@ -112,12 +107,13 @@ def test_criterion_04_metric_oracles():
 
 
 def test_criterion_05_wait_k_closed_form_and_dal_dominance():
-    for k in range(1, 6):
-        for n in range(k, 21):
-            g = [min(t - 1 + k, n) for t in range(1, n + 1)]
-            al = average_lagging(DelaySequence(g=g, source_len=n))
-            assert al == pytest.approx(k, abs=1e-9), (k, n)
+    cases = [(k, n) for k in range(1, 6) for n in range(k, 21)]
+    rows = lag_rows([DelaySequence(g=[min(t - 1 + k, n) for t in range(1, n + 1)],
+                                   source_len=n, ref_len=n) for k, n in cases])
+    for (k, n), row in zip(cases, rows):
+        assert row.al == pytest.approx(k, abs=1e-9), (k, n)
     rng = make_rng(505)
+    seqs = []
     for _ in range(10_000):
         n = int(rng.integers(1, 16))
         src = int(rng.integers(n, n + 12))
@@ -125,8 +121,9 @@ def test_criterion_05_wait_k_closed_form_and_dal_dominance():
         for _ in range(n):
             g.append(cur)
             cur = min(src, cur + int(rng.integers(0, 4)))
-        d = DelaySequence(g=g, source_len=src)
-        assert differentiable_al(d) >= average_lagging(d) - 1e-9
+        seqs.append(DelaySequence(g=g, source_len=src, ref_len=n))
+    for row in lag_rows(seqs):
+        assert row.dal >= row.al - 1e-9
     _ok(5, "AL=k closed form for k in 1..5, DAL>=AL on 10000 fuzzed sequences")
 
 
@@ -153,7 +150,7 @@ def test_criterion_06_em_aligner_cipher_corpus():
     gold_links = 0
     recovered = 0
     for src, tgt in pairs:
-        links = align_pair(src, tgt, forward, reverse)
+        links = align_corpus([(src, tgt)], forward, reverse)[0]
         gold_links += len(src)
         recovered += sum(1 for i, j in links.links if i == j)
     accuracy = recovered / gold_links
@@ -206,7 +203,7 @@ def test_criterion_08_asr_windowing_fuzz():
             words=[{"w": f"w{i}", "end_ms": e} for i, e in enumerate(ends)],
             total_ms=total,
         )
-        stream = AsrSimStream(transcript, AsrSimConfig(window_ms=window))
+        stream = AsrSimStream(transcript, window_ms=window)
         exposed = list(stream)
         assert len(exposed) == n
         for (word, stamp), end in zip(exposed, ends):

@@ -8,7 +8,6 @@ from simtrans import _kernels
 from simtrans.aligner import (
     TranslationTable,
     align_corpus,
-    align_pair,
     import_alignments,
     parse_pharaoh_line,
     train_table,
@@ -105,14 +104,14 @@ def test_no_column_words_is_empty_corpus():
 def test_align_two_pair_corpus():
     fwd = train_table(TWO_PAIR, iterations=10)
     rev = train_table(TWO_PAIR, iterations=10, direction="reverse")
-    links = align_pair(["the", "dog"], ["le", "chien"], fwd, rev)
+    links = align_corpus([(["the", "dog"], ["le", "chien"])], fwd, rev)[0]
     assert links.links == {(0, 0), (1, 1)}
 
 
 def test_align_all_oov_yields_no_links():
     fwd = train_table(TWO_PAIR, iterations=5)
     rev = train_table(TWO_PAIR, iterations=5, direction="reverse")
-    links = align_pair(["x", "y"], ["p", "q"], fwd, rev)
+    links = align_corpus([(["x", "y"], ["p", "q"])], fwd, rev)[0]
     assert links.links == set()
 
 
@@ -120,7 +119,7 @@ def test_align_one_by_one():
     corpus = [(["x"], ["y"])]
     fwd = train_table(corpus, iterations=5)
     rev = train_table(corpus, iterations=5, direction="reverse")
-    assert align_pair(["x"], ["y"], fwd, rev).links == {(0, 0)}
+    assert align_corpus([(["x"], ["y"])], fwd, rev)[0].links == {(0, 0)}
 
 
 def test_intersection_is_target_functional(rng):
@@ -133,7 +132,7 @@ def test_intersection_is_target_functional(rng):
     fwd = train_table(corpus, iterations=8)
     rev = train_table(corpus, iterations=8, direction="reverse")
     for src, tgt in corpus[:20]:
-        links = align_pair(src, tgt, fwd, rev)
+        links = align_corpus([(src, tgt)], fwd, rev)[0]
         targets = [j for _, j in links.links]
         assert len(targets) == len(set(targets))
 
@@ -222,7 +221,7 @@ def test_training_corpus_links_equal_the_slot_search(monkeypatch):
     fwd = train_table(corpus, iterations=8)
     rev = train_table(corpus, iterations=8, direction="reverse")
     # one pair at a time is never the training pairs, so each is searched
-    searched = _links(align_pair(src, tgt, fwd, rev) for src, tgt in corpus)
+    searched = _links(align_corpus([(src, tgt)], fwd, rev)[0] for src, tgt in corpus)
     assert sum(len(links) for links, _, _ in searched) > 1000
 
     def no_search(self, layout):

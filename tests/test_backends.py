@@ -169,14 +169,14 @@ def test_record_then_replay_identical_trace():
     source = ["a", "b", "c", "d"]
     mapping = {w: w.upper() for w in source}
     first = run_session(source, DictionaryBackend(mapping, lookahead=1), k=2)
-    replayed = run_session(source, ReplayBackend(first.to_record()), k=2)
+    replayed = run_session(source, ReplayBackend(json.loads(first.to_json())), k=2)
     assert replayed.to_json() == first.to_json()
 
 
 def test_replay_altered_k_misses():
     source = ["a", "b", "c"]
     trace = run_session(source, DictionaryBackend({w: w for w in source}), k=1)
-    backend = ReplayBackend(trace.to_record())
+    backend = ReplayBackend(json.loads(trace.to_json()))
     with pytest.raises(SessionError, match="step 1 reveals 3 source words, the trace 1"):
         run_session(source, backend, k=3)  # ReplayMiss surfaces as a session failure
 
@@ -208,7 +208,7 @@ def test_replay_compares_only_the_words_revealed_since_the_last_step():
             return super().__getitem__(index)
 
     source = [f"w{i}" for i in range(50)]
-    trace = run_session(source, DictionaryBackend({}), k=1).to_record()
+    trace = json.loads(run_session(source, DictionaryBackend({}), k=1).to_json())
     backend, revealed = ReplayBackend(trace), Words()
     for word in source:
         revealed.append(word)

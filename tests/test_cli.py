@@ -1,3 +1,4 @@
+import ast
 import errno
 import itertools
 import json
@@ -682,6 +683,36 @@ def test_each_subcommand_keeps_its_flags(capsys, command):
         assert "--backend {scripted,dict,replay,http}" in help_text
 
 
+def test_evaluate_curve_of_one_run_is_refused_before_any_output(tmp_path, capsys):
+    fixture = FIXTURES / "evaluate"
+    out_dir = tmp_path / "traces"
+    assert main(["simulate", "--input", str(fixture / "test.jsonl"), "--out-dir", str(out_dir),
+                 "--backend", "dict", "--dict-file", str(fixture / "dict.json"),
+                 "--k", "3"]) == EXIT_PARTIAL
+    report, curve = tmp_path / "report.json", tmp_path / "curve.csv"
+    capsys.readouterr()
+    assert main(["evaluate", "--traces", str(out_dir), "--references", str(fixture / "test.jsonl"),
+                 "--report", str(report), "--curve", str(curve)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a tradeoff curve needs at least two runs\n"
+    assert not report.exists() and not curve.exists()
+
+
+def test_evaluate_names_the_report_it_cannot_replace(tmp_path, capsys):
+    code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
+    assert code == EXIT_OK
+    report = tmp_path / "report"
+    report.mkdir()
+    capsys.readouterr()
+    assert main(["evaluate", "--traces", str(out_dir), "--references", str(test_set),
+                 "--report", str(report)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {report}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dict.json", "report", "test.jsonl", "traces"]
+    assert list(report.iterdir()) == []
+
+
 def test_evaluate_missing_function_words_writes_nothing(tmp_path, capsys):
     code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
     assert code == EXIT_OK
@@ -1268,6 +1299,27 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in dir(simtrans)
     with pytest.raises(AttributeError):
         simtrans.no_such_name
+
+
+# public names that no module of the package uses, each kept on purpose
+_UNCALLED_EXPORTS = {
+    "corpus_bleu": "the BLEU acceptance criterion scores its fixture corpora with it",
+}
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a public name the pipeline never reaches is code only tests keep alive
+    used = set()
+    for path in Path(simtrans.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = {name for name in simtrans.__all__ if name != "__version__" and name not in used}
+    assert uncalled == set(_UNCALLED_EXPORTS)
 
 
 def test_config_precedence(tmp_path, toy_corpus, monkeypatch):

@@ -12,7 +12,6 @@ from simtrans.engine import EngineConfig, SessionTrace, run_session
 from simtrans.errors import ScriptUnderrun, SessionError, WaitOverflow, WriteOverflow
 from simtrans.prompt import build_prompt, interpreter_system_message
 from simtrans.streams import (
-    AsrSimConfig,
     AsrSimStream,
     SourceStream,
     TextStream,
@@ -127,18 +126,19 @@ def test_wait_overflow_after_exhaustion():
         run_session(["a", "b"], ScriptedBackend(script), k=1)
     trace = exc_info.value.partial_trace
     assert trace.error is not None
-    assert not trace.finished and trace.to_record()["finished"] is False
+    assert not trace.finished and json.loads(trace.to_json())["finished"] is False
     # one read at start, one per revealing wait: both words were read
     assert trace.source_words == ["a", "b"]
 
 
 def test_finished_is_having_no_error():
     trace = run_session(["a"], ScriptedBackend(["x", Signal.EOS]), k=1)
-    assert trace.finished and trace.to_record()["finished"] is True
+    assert trace.finished and json.loads(trace.to_json())["finished"] is True
     trace.error = "stopped"
     assert not trace.finished
     with pytest.raises(TypeError):
-        SessionTrace([], [], [], k=1, mode="text", source_total=0, finished=True)
+        SessionTrace([], [], [], k=1, mode="text", source_total=0, events_json="[]",
+                     finished=True)
 
 
 def test_post_exhaustion_wait_suppression_flag():
@@ -219,7 +219,7 @@ def test_speech_mode_delays_clamped():
         words=[{"w": "a", "end_ms": 150}, {"w": "b", "end_ms": 380}, {"w": "c", "end_ms": 900}],
         total_ms=900,
     )
-    stream = AsrSimStream(transcript, AsrSimConfig(window_ms=200))
+    stream = AsrSimStream(transcript, window_ms=200)
     trace = run_session(stream, NeverWaits(3), k=1)
     assert trace.mode == "speech"
     assert trace.source_total == 900
@@ -244,7 +244,7 @@ def test_word_backends_never_render_prompt_text(monkeypatch):
     assert trace.finished and len(trace.hypothesis_words) == 3200
     words = [{"w": f"s{i}", "end_ms": 90.0 * (i + 1)} for i in range(300)]
     stream = AsrSimStream(TimedTranscript(words=words, total_ms=27000.0),
-                          AsrSimConfig(window_ms=200))
+                          window_ms=200)
     trace = run_session(stream, DictionaryBackend({}, lookahead=1), k=2)
     assert trace.finished and len(trace.hypothesis_words) == 300
     trace = run_session(FIG_SOURCE, ScriptedBackend(FIG_SCRIPT), k=1)
@@ -315,7 +315,7 @@ def test_every_whitespace_code_point_is_rejected_inside_a_word():
 _FUZZ_WORDS = ["plain", 'say"hi"', "back\\slash", "\x00", "a\x1fb", "tab\tnew\nline",
                "\u2028", "\u2029", "\x7f", "é", "\U0001f600x", "", "<WAIT>"]
 _FUZZ_NUMBERS = [0, 1, 7, 12345678901234567890, 200.0, 1e16, 5e-324, -0.0, 0.1 + 0.2, 1.5e300]
-# values and shapes the engine never writes: each makes to_json fall back to json
+# values and shapes the engine never writes
 _ODD_EVENTS = [
     {"kind": "read", "clock": 1, "word": "a", "extra": 1},
     {"kind": "wait", "clock": True},
@@ -376,17 +376,18 @@ def test_trace_json_equals_json_dumps_fuzz(rng):
             processing_ms=_pick(rng, [None, *_FUZZ_NUMBERS, float("nan"), "\u00e9"]),
             session_id=_pick(rng, ["0000", "id\\\u2029"]),
         )
+        events_json = json.dumps(events, ensure_ascii=False)
         trace = SessionTrace(words, words[::-1], fields["delays"], fields["k"], fields["mode"],
-                             fields["source_total"], events=events, error=fields["error"],
+                             fields["source_total"], events_json, error=fields["error"],
                              processing_ms=fields["processing_ms"],
                              session_id=fields["session_id"])
         assert trace.to_json() == oracles.trace_json(**fields)
         # the events read back are the records they were built from, in the
         # text json writes for them (a NaN is no equal of itself)
-        assert json.dumps(trace.events, ensure_ascii=False) == json.dumps(events, ensure_ascii=False)
-    # events json cannot write stay unwritable, however engine-like each is
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        SessionTrace([], [], [], 1, "text", 1, events=iter([{"kind": "eos", "clock": 1}]))
+        assert json.dumps(trace.events, ensure_ascii=False) == events_json
+    # events_json is the one stored form: events are read from it, never assigned
+    with pytest.raises(AttributeError):
+        trace.events = []
 
 
 class _LoggedSource(SourceStream):
@@ -451,7 +452,7 @@ def test_run_session_traces_equal_json_dumps(monkeypatch):
         for stream, backend, k in (
                 (TextStream(['"a"', "b\\", "c\U0001f600", "\x7f"]),
                  DictionaryBackend({}, lookahead=1), 2),
-                (AsrSimStream(transcript, AsrSimConfig(window_ms=33.3)), DictionaryBackend({}), 1)):
+                (AsrSimStream(transcript, window_ms=33.3), DictionaryBackend({}), 1)):
             log = []
             source = _LoggedSource(list(stream), log, stream.mode, stream.total_clock)
             got, want = _run_logged(monkeypatch, source, _LoggedBackend(log, inner=backend), k,

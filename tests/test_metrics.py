@@ -3,26 +3,23 @@ import pytest
 import oracles
 from simtrans.backends import ScriptedBackend
 from simtrans.bleu import corpus_bleu, tokenize_13a
-from simtrans.engine import run_session
+from simtrans.engine import run_session, waited_words
 from simtrans.errors import DegenerateInput, InputMismatch
 from simtrans.metrics import (
     DelaySequence,
     LatencyReport,
     aggregate_report,
-    average_lagging,
     average_proportion,
     bootstrap_reports,
-    differentiable_al,
-    is_truncated,
-    length_adaptive_al,
     real_time_factor,
     score_sessions,
     tradeoff_curve,
     wait_histogram,
-    waited_words,
 )
 from simtrans.rng import make_rng
 from simtrans.units import Signal
+
+from conftest import lag_row, lag_rows, score_delays
 
 
 def seq(g, src, ref=None):
@@ -41,31 +38,35 @@ def test_average_proportion_values():
     assert average_proportion(seq([1], 1)) == pytest.approx(1.0, abs=1e-9)
 
 
+# AL and DAL do not read the reference length: where a case gives none,
+# its row is scored with ref = |y|
+
 def test_average_lagging_values():
-    assert average_lagging(seq([1, 2, 3], 3)) == pytest.approx(1.0, abs=1e-9)
-    assert average_lagging(seq([2, 3, 3], 3)) == pytest.approx(2.0, abs=1e-9)
-    assert average_lagging(seq([3, 3, 3], 3)) == pytest.approx(3.0, abs=1e-9)
+    assert lag_row(seq([1, 2, 3], 3, ref=3)).al == pytest.approx(1.0, abs=1e-9)
+    assert lag_row(seq([2, 3, 3], 3, ref=3)).al == pytest.approx(2.0, abs=1e-9)
+    assert lag_row(seq([3, 3, 3], 3, ref=3)).al == pytest.approx(3.0, abs=1e-9)
 
 
 def test_laal_values():
     # same lengths: LAAL coincides with AL
-    assert length_adaptive_al(seq([1, 2, 3], 3, ref=3)) == pytest.approx(
-        average_lagging(seq([1, 2, 3], 3)), abs=1e-12
+    assert lag_row(seq([1, 2, 3], 3, ref=3)).laal == pytest.approx(
+        lag_row(seq([1, 2, 3], 3, ref=3)).al, abs=1e-12
     )
-    assert length_adaptive_al(seq([1, 2, 3], 3, ref=6)) == pytest.approx(1.5, abs=1e-9)
+    assert lag_row(seq([1, 2, 3], 3, ref=6)).laal == pytest.approx(1.5, abs=1e-9)
 
 
 def test_dal_values():
-    assert differentiable_al(seq([1, 2, 3], 3)) == pytest.approx(1.0, abs=1e-9)
-    assert differentiable_al(seq([3, 3, 3], 3)) == pytest.approx(3.0, abs=1e-9)
-    assert differentiable_al(seq([1], 1)) == pytest.approx(1.0, abs=1e-9)
+    assert lag_row(seq([1, 2, 3], 3, ref=3)).dal == pytest.approx(1.0, abs=1e-9)
+    assert lag_row(seq([3, 3, 3], 3, ref=3)).dal == pytest.approx(3.0, abs=1e-9)
+    assert lag_row(seq([1], 1, ref=1)).dal == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ideal_wait_k_closed_form():
-    for k in range(1, 6):
-        for n in range(k, 21):
-            g = [min(t - 1 + k, n) for t in range(1, n + 1)]
-            assert average_lagging(seq(g, n)) == pytest.approx(k, abs=1e-9), (k, n)
+    cases = [(k, n) for k in range(1, 6) for n in range(k, 21)]
+    rows = lag_rows([seq([min(t - 1 + k, n) for t in range(1, n + 1)], n, ref=n)
+                     for k, n in cases])
+    for (k, n), row in zip(cases, rows):
+        assert row.al == pytest.approx(k, abs=1e-9), (k, n)
 
 
 def _random_monotone_seq(rng):
@@ -80,15 +81,13 @@ def _random_monotone_seq(rng):
 
 
 def test_dal_dominates_al_fuzz(rng):
-    for _ in range(2000):
-        d = _random_monotone_seq(rng)
-        assert differentiable_al(d) >= average_lagging(d) - 1e-9
+    for row in lag_rows([_random_monotone_seq(rng) for _ in range(2000)]):
+        assert row.dal >= row.al - 1e-9
 
 
 def test_laal_dominates_al_fuzz(rng):
-    for _ in range(2000):
-        d = _random_monotone_seq(rng)
-        assert length_adaptive_al(d) >= average_lagging(d) - 1e-9
+    for row in lag_rows([_random_monotone_seq(rng) for _ in range(2000)]):
+        assert row.laal >= row.al - 1e-9
 
 
 def test_ap_bounds_fuzz(rng):
@@ -111,27 +110,30 @@ def test_unit_rescaling_equivalence(rng):
             ref_len=d.ref_len,
         )
         assert average_proportion(ms) == pytest.approx(average_proportion(d), rel=1e-12)
-        assert average_lagging(ms) == pytest.approx(average_lagging(d) * scale, rel=1e-9)
-        assert length_adaptive_al(ms) == pytest.approx(length_adaptive_al(d) * scale, rel=1e-9)
-        assert differentiable_al(ms) == pytest.approx(differentiable_al(d) * scale, rel=1e-9)
+        ms_row, row = lag_row(ms), lag_row(d)
+        assert ms_row.al == pytest.approx(row.al * scale, rel=1e-9)
+        assert ms_row.laal == pytest.approx(row.laal * scale, rel=1e-9)
+        assert ms_row.dal == pytest.approx(row.dal * scale, rel=1e-9)
 
 
 def test_truncated_session_uses_hyp_len():
-    d = seq([1, 2, 2], 5)
-    assert is_truncated(d)
+    row = lag_row(seq([1, 2, 2], 5, ref=3))
+    assert row.truncated
     # tau falls back to |y| = 3
-    assert average_lagging(d) == pytest.approx((1 + (2 - 1 / 0.6) + (2 - 2 / 0.6)) / 3)
+    assert row.al == pytest.approx((1 + (2 - 1 / 0.6) + (2 - 2 / 0.6)) / 3)
 
 
 def test_degenerate_inputs():
+    # an empty hypothesis has no lag: its row is not scored, and a report
+    # with no scored row is refused
+    scores = score_delays([seq([], 3, ref=3)])
+    assert not scores.scored[0] and not scores.truncated[0]
     with pytest.raises(DegenerateInput):
-        average_lagging(seq([], 3))
+        aggregate_report(scores)
     with pytest.raises(DegenerateInput):
         average_proportion(DelaySequence(g=[], source_len=0))
     with pytest.raises(DegenerateInput):
         real_time_factor(100, 0)
-    with pytest.raises(DegenerateInput):
-        length_adaptive_al(seq([1], 1))  # no reference length
     with pytest.raises(DegenerateInput, match="reference length required"):
         score_sessions([seq([1], 1)], [["a"]], [["a"]], [0])
 
@@ -162,7 +164,7 @@ def test_delay_sequence_validation():
             DelaySequence(g=[1], source_len=source_len)
     # no delay, no source: nothing to refuse, and nothing to score
     with pytest.raises(DegenerateInput, match="empty hypothesis"):
-        average_lagging(DelaySequence(g=[], source_len=0))
+        average_proportion(DelaySequence(g=[], source_len=0))
 
 
 def test_hyp_len_is_the_delay_count():
@@ -369,21 +371,17 @@ def test_one_walk_equals_the_formulas_fuzz(rng):
     truncated = tied = 0
     for _ in range(3000):
         d = _walk_fuzz_seq(rng)
-        for ours, theirs in ((average_lagging, oracles.average_lagging),
-                             (length_adaptive_al, oracles.length_adaptive_al),
-                             (average_proportion, oracles.average_proportion),
-                             (differentiable_al, oracles.differentiable_al),
-                             (is_truncated, oracles.is_truncated)):
-            assert _outcome(ours, d) == _outcome(theirs, d), (ours.__name__, d)
+        if d.ref_len is None:
+            # LAAL needs |y_ref|: the row is refused as the formula is
+            assert _outcome(lag_row, d) == _outcome(oracles.length_adaptive_al, d)
+            d.ref_len = len(d.g)
+        assert lag_row(d) == (
+            oracles.average_lagging(d), oracles.length_adaptive_al(d),
+            oracles.average_proportion(d), oracles.differentiable_al(d),
+            oracles.is_truncated(d)), d
         truncated += oracles.is_truncated(d)
         tied += d.g.count(d.source_len) > 1
     assert truncated > 300 and tied > 300
-    # an empty hypothesis: nothing to lag, and never reaching |x|
-    empty = DelaySequence(g=[], source_len=3, ref_len=None)
-    for ours, theirs in ((average_lagging, oracles.average_lagging),
-                         (length_adaptive_al, oracles.length_adaptive_al),
-                         (is_truncated, oracles.is_truncated)):
-        assert _outcome(ours, empty) == _outcome(theirs, empty)
 
 
 def test_score_sessions_rows_equal_the_formulas(rng):

@@ -5,7 +5,6 @@ import pytest
 
 from simtrans.errors import ParseError
 from simtrans.streams import (
-    AsrSimConfig,
     AsrSimStream,
     TextStream,
     TimedTranscript,
@@ -43,18 +42,25 @@ def test_text_stream_count(rng):
 def test_asr_windowing_hand_trace():
     # window 200: w2 visible at 400 but withheld as the last visible word;
     # the first tick past total exposes everything
-    stream = AsrSimStream(transcript([150, 380, 900], 900), AsrSimConfig(window_ms=200))
+    stream = AsrSimStream(transcript([150, 380, 900], 900), window_ms=200)
     assert list(stream) == [("w1", 400), ("w2", 1000), ("w3", 1000)]
 
 
 def test_asr_single_word():
-    stream = AsrSimStream(transcript([100], 100), AsrSimConfig(window_ms=200))
+    stream = AsrSimStream(transcript([100], 100), window_ms=200)
     assert list(stream) == [("w1", 200)]
 
 
 def test_asr_empty_transcript():
     empty = TimedTranscript(words=[], total_ms=0)
-    assert list(AsrSimStream(empty, AsrSimConfig(window_ms=200))) == []
+    assert list(AsrSimStream(empty, window_ms=200)) == []
+
+
+def test_asr_window_must_be_positive():
+    for window in (0, -200.0):
+        with pytest.raises(ValueError, match="window_ms must be positive"):
+            AsrSimStream(transcript([100], 100), window_ms=window)
+    assert AsrSimStream(transcript([100], 100)).window_ms == 200.0
 
 
 def test_asr_fuzz_invariants(rng):
@@ -64,7 +70,7 @@ def test_asr_fuzz_invariants(rng):
         gaps = rng.integers(30, 400, size=n)
         ends = [float(sum(gaps[: i + 1])) for i in range(n)]
         total = ends[-1] + float(rng.integers(0, 300))
-        stream = AsrSimStream(transcript(ends, total), AsrSimConfig(window_ms=window))
+        stream = AsrSimStream(transcript(ends, total), window_ms=window)
         seen = list(stream)
         assert len(seen) == n
         prev_stamp = 0.0
@@ -78,7 +84,7 @@ def test_asr_fuzz_invariants(rng):
 def test_asr_matches_rescan_oracle(rng):
     def check(ends, total, window):
         words = [f"w{i}" for i in range(len(ends))]
-        stream = AsrSimStream(transcript(ends, total, words), AsrSimConfig(window_ms=window))
+        stream = AsrSimStream(transcript(ends, total, words), window_ms=window)
         expected = list(zip(words, asr_rescan(ends, total, window)))
         assert list(stream) == expected, (ends, total, window)
 
