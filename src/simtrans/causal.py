@@ -25,9 +25,11 @@ _STR = frozenset((str,))
 
 @dataclass
 class CausalPair:
+    """Both sides with their markers, unchecked: causal_align and read_corpus
+    make causal ones, and verify_pair checks a pair's record."""
+
     source_words: list[str]
     target_words: list[str]
-    origin_links: AlignmentLinkSet
 
     @property
     def wait_count(self) -> int:
@@ -65,11 +67,7 @@ def causal_align(src, tgt, links: AlignmentLinkSet) -> CausalPair:
     elif len(out_source) > len(out_target):
         out_target.extend([WAIT_TOKEN] * (len(out_source) - len(out_target)))
 
-    return CausalPair(
-        source_words=out_source,
-        target_words=out_target,
-        origin_links=links,
-    )
+    return CausalPair(source_words=out_source, target_words=out_target)
 
 
 @dataclass
@@ -85,7 +83,7 @@ class CorpusStats:
 
 def build_corpus(pairs, link_sets):
     """Causally align every (source, target) pair with its link set, in
-    order; returns (pairs, stats)."""
+    order; returns (pairs, stats). write_corpus takes the same link sets."""
     pairs = list(pairs)
     if len(link_sets) != len(pairs):
         raise InputMismatch(f"{len(link_sets)} link sets for {len(pairs)} pairs")
@@ -98,13 +96,14 @@ def build_corpus(pairs, link_sets):
     return out, stats
 
 
-def pair_to_record(pair: CausalPair) -> dict:
+def pair_to_record(pair: CausalPair, links: AlignmentLinkSet) -> dict:
+    """The corpus record of a pair and the links it was aligned from."""
     return {
         "source": pair.source_words,
         "target": pair.target_words,
         "waits": pair.wait_count,
         "fillers": pair.filler_count,
-        "links": [[i, j] for i, j in pair.origin_links.sorted_links()],
+        "links": [[i, j] for i, j in sorted(links.links)],
     }
 
 
@@ -114,17 +113,13 @@ def pair_from_record(record: dict, line_no: int = None, path=None) -> CausalPair
     problems = verify_pair(record)
     if problems:
         raise ParseError(problems[0], line_no, path)
-    source, target = record["source"], record["target"]
-    origin = AlignmentLinkSet(
-        links={(i, j) for i, j in record["links"]},
-        source_len=len(source) - source.count(FILLER_TOKEN),
-        target_len=len(target) - target.count(WAIT_TOKEN),
-    )
-    return CausalPair(source_words=source, target_words=target, origin_links=origin)
+    return CausalPair(source_words=record["source"], target_words=record["target"])
 
 
-def write_corpus(pairs, path) -> None:
-    text = "".join(f"{_ENCODER.encode(pair_to_record(pair))}\n" for pair in pairs)
+def write_corpus(pairs, link_sets, path) -> None:
+    """One record per pair, with the link set it was aligned from."""
+    text = "".join(f"{_ENCODER.encode(pair_to_record(pair, links))}\n"
+                   for pair, links in zip(pairs, link_sets, strict=True))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

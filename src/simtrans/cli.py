@@ -11,6 +11,7 @@ with per-session failures, 3 verification found violations.
 # them: align, build-dataset and evaluate.
 
 import argparse
+import contextlib
 import glob
 import json
 import math
@@ -174,18 +175,36 @@ def _tokenize_line(path, n, text):
     return words
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
+@contextlib.contextmanager
+def _outputs(*paths):
+    """A temporary path per output path for the block to write, each moved
+    onto its output path once the block ends. A failure leaves no temporary
+    file and no output that was not there before; a temporary path that
+    cannot be opened for want of its directory is an error naming the output."""
+    tmps = [f"{path}.tmp" for path in paths]
+    # only a replace that came before a failed one can have made an output
+    fresh = [path for path in paths[:-1] if not os.path.lexists(path)]
+    made = []
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+            made.append(path)
+    except BaseException as exc:
+        # nothing at a temporary path that failed: the fault is its directory's
+        unmade = (isinstance(exc, OSError) and exc.filename in tmps
+                  and not os.path.lexists(exc.filename))
+        for path in [*tmps, *(p for p in made if p in fresh)]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if unmade:
+            raise OSError(exc.errno, exc.strerror, paths[tmps.index(exc.filename)]) from exc
         raise
+
+
+def _atomic_write(path, text):
+    with _outputs(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------- align
@@ -210,7 +229,7 @@ def cmd_align(args) -> int:
         link_sets = aligner.align_corpus(tokenized, forward, reverse)
     pairs, stats = causal.build_corpus(tokenized, link_sets)
 
-    causal.write_corpus(pairs, args.output)
+    causal.write_corpus(pairs, link_sets, args.output)
     print(
         f"aligned {stats.pair_count} pairs: "
         f"{stats.wait_total} waits ({stats.mean_waits:.2f}/pair), "
@@ -224,14 +243,18 @@ def cmd_align(args) -> int:
 def cmd_build_dataset(args) -> int:
     from . import sft
 
+    meta_path = args.meta or f"{args.output}.meta.json"
+    if os.path.abspath(meta_path) == os.path.abspath(args.output):
+        raise SimtransError(f"{meta_path}: --meta names the --output file")
     corpus = causal.read_corpus(args.input)
     cfg = sft.SftConfig(
         seed=args.seed, samples_per_pair=args.samples_per_pair,
         target_language=args.target_language,
     )
-    count = sft.write_samples(corpus, cfg, args.output)
-    meta_path = args.meta or f"{args.output}.meta.json"
-    sft.write_training_meta(cfg, meta_path)
+    # the samples and their sidecar are written together, or neither is
+    with _outputs(args.output, meta_path) as (samples_tmp, meta_tmp):
+        count = sft.write_samples(corpus, cfg, samples_tmp)
+        sft.write_training_meta(cfg, meta_tmp)
     print(f"wrote {count} samples -> {args.output} (meta: {meta_path})")
     return EXIT_OK
 
@@ -497,20 +520,23 @@ def cmd_evaluate(args) -> int:
     out = {"reports": {str(k): r.to_record() for k, r in reports.items()}}
     if bootstrap:
         out["bootstrap"] = {str(k): b for k, b in bootstrap.items()}
+    texts = {}  # output path -> its text; a path given twice gets the last
     if args.report:
-        _atomic_write(args.report, json.dumps(out, ensure_ascii=False, indent=2) + "\n")
-
+        texts[args.report] = json.dumps(out, ensure_ascii=False, indent=2) + "\n"
     if args.curve:
-        _atomic_write(args.curve, curve)
-
+        texts[args.curve] = curve
     if args.histogram:
         hist = metrics.wait_histogram(waited, function_words)
-        _atomic_write(args.histogram, json.dumps({
+        texts[args.histogram] = json.dumps({
             "counts": hist.counts,
             "function_count": hist.function_count,
             "content_count": hist.content_count,
             "function_share": hist.function_share,
-        }, ensure_ascii=False, indent=2) + "\n")
+        }, ensure_ascii=False, indent=2) + "\n"
+    with _outputs(*texts) as tmps:
+        for tmp, text in zip(tmps, texts.values()):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
     return EXIT_OK
 
 

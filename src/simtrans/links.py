@@ -24,6 +24,3 @@ class AlignmentLinkSet:
                 raise BoundsError(
                     f"link ({i},{j}) outside {self.source_len}x{self.target_len}"
                 )
-
-    def sorted_links(self) -> list:
-        return sorted(self.links)

@@ -14,8 +14,9 @@ Source and target slots are space-joined word lists; with no target words
 the prompt ends with "[/INST] " including the trailing space. Disabling the
 system message removes the whole <<SYS>> block (the fast-inference variant).
 Everything before {PARTIAL_SOURCE} depends on the system message alone;
-prompt_head renders it, for build_prompt and for the SFT writer, which
-escapes it once per file.
+prompt_head renders it, and SOURCE_END is what follows the source words.
+build_prompt and the SFT writer both put a prompt together from these two,
+the SFT writer escaping the head once per file.
 
 build_prompt returns a Prompt: the text itself, as a str, that also carries
 the word tuples it was built from, so a backend that works on words reads
@@ -56,6 +57,9 @@ class Prompt(str):
         return self
 
 
+SOURCE_END = " [/INST] "  # between the source words and the target words
+
+
 def prompt_head(system_message=None) -> str:
     """The text every prompt with this system message starts with, up to
     its source words; system_message=None omits the <<SYS>> block."""
@@ -68,7 +72,7 @@ def build_prompt(partial_source, partial_target, system_message=None) -> Prompt:
     """Collate the prompt: prompt_head(system_message), then the words."""
     source = tuple(partial_source)
     target = tuple(partial_target)
-    text = f"{prompt_head(system_message)}{' '.join(source)} [/INST] {' '.join(target)}"
+    text = f"{prompt_head(system_message)}{' '.join(source)}{SOURCE_END}{' '.join(target)}"
     return Prompt(text, source, target)
 
 

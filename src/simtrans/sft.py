@@ -12,9 +12,11 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
+import numpy as np
+
 from .causal import CausalPair
 from .errors import RangeError
-from .prompt import DEFAULT_TARGET_LANGUAGE, build_prompt, interpreter_system_message, prompt_head
+from .prompt import DEFAULT_TARGET_LANGUAGE, SOURCE_END, interpreter_system_message, prompt_head
 from .rng import make_rng
 from .units import FILLER_TOKEN, WAIT_TOKEN
 
@@ -30,26 +32,6 @@ class SftConfig:
             raise ValueError("samples_per_pair must be >= 1")
 
 
-@dataclass
-class SftSample:
-    prompt: str
-    completion: str
-    trim_len: int
-    source_len: int
-    loss_mask_boundary: int
-
-    def to_record(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "completion": self.completion,
-            "meta": {
-                "trim_len": self.trim_len,
-                "source_len": self.source_len,
-                "loss_mask_boundary": self.loss_mask_boundary,
-            },
-        }
-
-
 def trim_pair(pair: CausalPair, l: int):
     """First l aligned positions of both sides, marker drop rules applied.
 
@@ -59,60 +41,54 @@ def trim_pair(pair: CausalPair, l: int):
     length = pair.aligned_length()
     if not 1 <= l <= length:
         raise RangeError(f"trim length {l} outside [1, {length}]")
-    cut_src = pair.source_words[:l]
     cut_tgt = pair.target_words[:l]
-    partial_source = [w for w in cut_src if w != FILLER_TOKEN]
+    partial_source = [w for w in pair.source_words[:l] if w != FILLER_TOKEN]
     kept = [w for w in cut_tgt if w != WAIT_TOKEN]
     if cut_tgt and cut_tgt[-1] == WAIT_TOKEN:
         kept.append(WAIT_TOKEN)
     return partial_source, kept
 
 
-def make_sample(pair: CausalPair, l: int, system_message: str) -> SftSample:
-    partial_source, partial_target = trim_pair(pair, l)
-    prompt = build_prompt(partial_source, [], system_message)
-    return SftSample(
-        prompt=prompt,
-        completion=" ".join(partial_target),
-        trim_len=l,
-        source_len=len(partial_source),
-        loss_mask_boundary=len(prompt),
-    )
-
-
 def emit_samples(corpus, cfg: SftConfig):
-    """Deterministic sample stream: same seed, same bytes.
+    """(trim length, partial source, partial target) per sample, in corpus
+    order, cfg.samples_per_pair samples per pair: same seed, same samples.
 
     A pair with no aligned position has no trim length to draw: RangeError
-    names it by its 1-based place in corpus.
+    names it by its 1-based place in corpus, before any sample is yielded.
     """
-    rng = make_rng(cfg.seed)
-    system_message = interpreter_system_message(cfg.target_language)
-    for n, pair in enumerate(corpus, start=1):
-        length = pair.aligned_length()
-        if length < 1:
-            raise RangeError(f"pair {n} has no aligned position to trim")
-        for _ in range(cfg.samples_per_pair):
-            l = int(rng.integers(1, length + 1))
-            yield make_sample(pair, l, system_message)
+    corpus = list(corpus)
+    lengths = [pair.aligned_length() for pair in corpus]
+    if 0 in lengths:
+        raise RangeError(f"pair {lengths.index(0) + 1} has no aligned position to trim")
+    spp = cfg.samples_per_pair
+    # one call draws every trim length, in sample order: PCG64 gives the
+    # values of one integers(1, length + 1) call per sample
+    high = np.repeat(np.array(lengths, dtype=np.int64), spp) + 1
+    draws = make_rng(cfg.seed).integers(1, high).tolist()
+    each = (pair for pair in corpus for _ in range(spp))
+    for pair, l in zip(each, draws):
+        yield l, *trim_pair(pair, l)
 
 
 def write_samples(corpus, cfg: SftConfig, path) -> int:
-    """One line per sample: json.dumps(sample.to_record(), ensure_ascii=False).
+    """One line per sample, json.dumps(..., ensure_ascii=False) of {"prompt":
+    build_prompt(partial_source, []), "completion", "meta": {"trim_len",
+    "source_len", "loss_mask_boundary": len(prompt)}}, rendered from the words.
 
-    JSON escapes each character on its own, so every prompt's escape starts
-    with the escape of the head all prompts share, which is made once here.
+    JSON escapes each character on its own, so the head all prompts share
+    is escaped once here.
     """
     head = prompt_head(interpreter_system_message(cfg.target_language))
-    cut = len(head)
     open_head = encode_basestring(head)[:-1]  # without its closing quote
-    lines = [
-        f'{{"prompt": {open_head}{encode_basestring(s.prompt[cut:])[1:]}, '
-        f'"completion": {encode_basestring(s.completion)}, '
-        f'"meta": {{"trim_len": {s.trim_len}, "source_len": {s.source_len}, '
-        f'"loss_mask_boundary": {s.loss_mask_boundary}}}}}\n'
-        for s in emit_samples(corpus, cfg)
-    ]
+    lines = []
+    for l, source, target in emit_samples(corpus, cfg):
+        tail = " ".join(source) + SOURCE_END  # the prompt after its head
+        lines.append(
+            f'{{"prompt": {open_head}{encode_basestring(tail)[1:]}, '
+            f'"completion": {encode_basestring(" ".join(target))}, '
+            f'"meta": {{"trim_len": {l}, "source_len": {len(source)}, '
+            f'"loss_mask_boundary": {len(head) + len(tail)}}}}}\n'
+        )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
     return len(lines)

@@ -8,8 +8,9 @@ scan over raw corpus records, ASR windowing that rescans every word on
 every tick, latency metrics each by its own formula and its own pass,
 evaluation that re-tokenizes and re-counts every sentence of every
 resample from its strings, prompt words parsed back from the
-prompt text, tokenization that scans every character of every chunk, and
-SFT lines and traces that json.dumps encodes whole, an engine trace rebuilt
+prompt text, tokenization that scans every character of every chunk, an
+SFT file drawn one trim length at a time and json.dumps-encoded record by
+record, traces that json.dumps encodes whole, and an engine trace rebuilt
 from the source items and backend units its session saw.
 """
 
@@ -24,6 +25,8 @@ import numpy as np
 
 from simtrans.errors import DegenerateInput, InputMismatch
 from simtrans.metrics import LatencyReport
+from simtrans.prompt import build_prompt, interpreter_system_message
+from simtrans.rng import make_rng
 from simtrans.tokenizer import (
     _APOSTROPHES,
     _CONTRACTION_SUFFIXES,
@@ -176,9 +179,25 @@ def rescan_causality(record):
     return len(record["source"]) == len(record["target"])
 
 
-def sft_line(sample):
-    """The JSONL line of one SFT sample, its whole record through json.dumps."""
-    return json.dumps(sample.to_record(), ensure_ascii=False) + "\n"
+def sft_file(corpus, target_language, seed, samples_per_pair):
+    """The bytes of the SFT file of corpus, (source words, target words) per
+    pair: for each sample in corpus order, one integers(1, length + 1) draw,
+    the first l positions of both sides with every filler and every wait but
+    one in the last position dropped, and the record through json.dumps."""
+    rng = make_rng(seed)
+    system = interpreter_system_message(target_language)
+    out = []
+    for source, target in corpus:
+        for _ in range(samples_per_pair):
+            l = int(rng.integers(1, len(source) + 1))
+            partial_source = [w for w in source[:l] if w != FILLER]
+            partial_target = [w for p, w in enumerate(target[:l]) if w != WAIT or p == l - 1]
+            prompt = str(build_prompt(partial_source, [], system))
+            record = {"prompt": prompt, "completion": " ".join(partial_target),
+                      "meta": {"trim_len": l, "source_len": len(partial_source),
+                               "loss_mask_boundary": len(prompt)}}
+            out.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(out).encode("utf-8")
 
 
 def trace_json(session_id, k, mode, source, hypothesis, delays, source_total, error, events,

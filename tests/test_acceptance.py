@@ -31,13 +31,13 @@ def _ok(n, label):
 def test_criterion_01_causality_suite(tmp_path):
     started = time.perf_counter()
     rng = make_rng(101)
-    pairs = []
+    pairs, link_sets = [], []
     for _ in range(1000):
         src, tgt, links = random_permutation_pair(rng, max_len=20)
-        link_set = AlignmentLinkSet(links=links, source_len=len(src), target_len=len(tgt))
-        pairs.append(causal_align(src, tgt, link_set))
+        link_sets.append(AlignmentLinkSet(links=links, source_len=len(src), target_len=len(tgt)))
+        pairs.append(causal_align(src, tgt, link_sets[-1]))
     corpus_path = tmp_path / "fuzzed.jsonl"
-    write_corpus(pairs, corpus_path)
+    write_corpus(pairs, link_sets, corpus_path)
     assert main(["verify", str(corpus_path)]) == EXIT_OK
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"causality suite took {elapsed:.1f}s"
@@ -224,13 +224,13 @@ def test_criterion_09_bleu_cross_check():
 def test_criterion_10_reproducibility(tmp_path):
     # build-dataset determinism
     rng = make_rng(1010)
-    pairs = []
+    pairs, link_sets = [], []
     for _ in range(20):
         src, tgt, links = random_permutation_pair(rng, max_len=10)
-        link_set = AlignmentLinkSet(links=links, source_len=len(src), target_len=len(tgt))
-        pairs.append(causal_align(src, tgt, link_set))
+        link_sets.append(AlignmentLinkSet(links=links, source_len=len(src), target_len=len(tgt)))
+        pairs.append(causal_align(src, tgt, link_sets[-1]))
     causal_path = tmp_path / "causal.jsonl"
-    write_corpus(pairs, causal_path)
+    write_corpus(pairs, link_sets, causal_path)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / f"sft_{name}.jsonl"

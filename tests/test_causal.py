@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from simtrans.aligner import AlignmentLinkSet
 from simtrans.causal import (
+    CausalPair,
     build_corpus,
     causal_align,
     pair_from_record,
@@ -64,8 +67,9 @@ def test_round_trip_strip():
 def test_causality_fuzz_with_independent_rescan(rng):
     for _ in range(300):
         src, tgt, links = random_permutation_pair(rng, max_len=12)
-        out = causal_align(src, tgt, links_of(links, len(src), len(tgt)))
-        record = pair_to_record(out)
+        link_set = links_of(links, len(src), len(tgt))
+        out = causal_align(src, tgt, link_set)
+        record = pair_to_record(out, link_set)
         assert rescan_causality(record), record
         assert stripped(out) == (src, tgt)
         assert len(out.source_words) == len(out.target_words)
@@ -119,19 +123,27 @@ def test_build_corpus_needs_one_link_set_per_pair():
 
 
 def test_corpus_file_round_trip(tmp_path, rng):
-    pairs = []
+    pairs, link_sets = [], []
     for _ in range(20):
         src, tgt, links = random_permutation_pair(rng, max_len=8)
-        pairs.append(causal_align(src, tgt, links_of(links, len(src), len(tgt))))
+        link_sets.append(links_of(links, len(src), len(tgt)))
+        pairs.append(causal_align(src, tgt, link_sets[-1]))
     path = tmp_path / "corpus.jsonl"
-    write_corpus(pairs, path)
-    loaded = read_corpus(path)
-    assert [pair_to_record(p) for p in loaded] == [pair_to_record(p) for p in pairs]
+    write_corpus(pairs, link_sets, path)
+    assert read_corpus(path) == pairs
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [r["links"] for r in records] == [sorted(map(list, ls.links)) for ls in link_sets]
+
+
+def test_write_corpus_needs_one_link_set_per_pair(tmp_path):
+    pair = causal_align(["a"], ["x"], links_of({(0, 0)}, 1, 1))
+    with pytest.raises(ValueError):
+        write_corpus([pair, pair], [links_of({(0, 0)}, 1, 1)], tmp_path / "corpus.jsonl")
 
 
 def test_verify_pair_catches_corruption():
-    out = causal_align(["a", "b"], ["x", "y"], links_of({(1, 0), (0, 1)}, 2, 2))
-    record = pair_to_record(out)
+    link_set = links_of({(1, 0), (0, 1)}, 2, 2)
+    record = pair_to_record(causal_align(["a", "b"], ["x", "y"], link_set), link_set)
     assert verify_pair(record) == []
     corrupted = dict(record)
     corrupted["target"] = [w for w in record["target"] if w != WAIT_TOKEN]
@@ -172,16 +184,18 @@ def test_counts_are_the_markers_of_the_words():
     ("waits", "1"), ("fillers", 3), ("fillers", 2.0),
 ])
 def test_pair_from_record_refuses_a_count_its_words_disagree_with(key, value):
-    record = pair_to_record(causal_align(["a", "b"], ["x", "y", "z"], links_of({(1, 0)}, 2, 3)))
-    assert (record["waits"], record["fillers"]) == (1, 2)
-    assert pair_from_record(record).origin_links.sorted_links() == [(1, 0)]
+    link_set = links_of({(1, 0)}, 2, 3)
+    record = pair_to_record(causal_align(["a", "b"], ["x", "y", "z"], link_set), link_set)
+    assert (record["waits"], record["fillers"]) == (1, 2) and record["links"] == [[1, 0]]
+    assert pair_from_record(record) == CausalPair(record["source"], record["target"])
     record[key] = value
     with pytest.raises(ParseError, match=rf"^c\.jsonl: line 3: {key} is "):
         pair_from_record(record, line_no=3, path="c.jsonl")
 
 
 def test_pair_from_record_counts_words_when_no_count_is_given():
-    record = pair_to_record(causal_align(["a"], ["x", "y"], links_of({(0, 1)}, 1, 2)))
+    link_set = links_of({(0, 1)}, 1, 2)
+    record = pair_to_record(causal_align(["a"], ["x", "y"], link_set), link_set)
     del record["waits"], record["fillers"]
     pair = pair_from_record(record)
     assert (pair.wait_count, pair.filler_count) == (0, 1)

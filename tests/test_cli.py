@@ -157,6 +157,45 @@ def test_build_dataset_corrupt_record(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--output", "--meta"])
+def test_build_dataset_that_cannot_write_an_output_writes_neither(tmp_path, capsys,
+                                                                  monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    outputs = {"--output": "sft.jsonl", "--meta": "sft.meta.json", flag: "nodir/x.json"}
+    code = main(["build-dataset", "--input", str(GOLDEN / "fixture_align_causal.jsonl"),
+                 "--output", outputs["--output"], "--meta", outputs["--meta"]])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: nodir/x.json: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_dataset_removes_the_samples_it_made_when_the_meta_replace_fails(tmp_path,
+                                                                               capsys):
+    out, meta = tmp_path / "sft.jsonl", tmp_path / "meta"
+    meta.mkdir()
+    assert main(["build-dataset", "--input", str(GOLDEN / "fixture_align_causal.jsonl"),
+                 "--output", str(out), "--meta", str(meta)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {meta}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [meta] and list(meta.iterdir()) == []
+
+
+def test_build_dataset_keeps_the_outputs_it_found_when_it_fails(tmp_path, capsys):
+    out, meta = tmp_path / "sft.jsonl", tmp_path / "meta"
+    out.write_text("before\n")
+    meta.mkdir()
+    assert main(["build-dataset", "--input", str(GOLDEN / "fixture_align_causal.jsonl"),
+                 "--output", str(out), "--meta", str(meta)]) == EXIT_USAGE
+    assert sorted(tmp_path.iterdir()) == [meta, out]
+
+
+def test_build_dataset_refuses_one_path_for_both_outputs(tmp_path, capsys):
+    out = tmp_path / "sft.jsonl"
+    assert main(["build-dataset", "--input", str(GOLDEN / "fixture_align_causal.jsonl"),
+                 "--output", str(out), "--meta", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {out}: --meta names the --output file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_dataset_fixture_matches_golden(tmp_path):
     # three samples per pair of the aligned fixture: prompts, completions,
     # trim lengths and the meta sidecar, byte for byte
@@ -711,6 +750,22 @@ def test_evaluate_names_the_report_it_cannot_replace(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "dict.json", "report", "test.jsonl", "traces"]
     assert list(report.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--report", "--curve", "--histogram"])
+def test_evaluate_names_an_output_whose_directory_is_missing(tmp_path, capsys, monkeypatch,
+                                                             flag):
+    code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}])
+    assert code == EXIT_OK
+    monkeypatch.chdir(tmp_path)
+    outputs = {"--report": "report.json", "--curve": "curve.csv", "--histogram": "waits.json",
+               flag: "nodir/w.json"}
+    capsys.readouterr()
+    assert main(["evaluate", "--traces", str(out_dir), "--references", str(test_set),
+                 *(arg for pair in outputs.items() for arg in pair)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: nodir/w.json: No such file or directory\n"
+    # the outputs are written together: none of the others is left either
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dict.json", "test.jsonl", "traces"]
 
 
 def test_evaluate_missing_function_words_writes_nothing(tmp_path, capsys):
