@@ -94,7 +94,7 @@ def _integers(value):
 # alike, and sets each on args. Paths and on/off switches are plain flags.
 OPTIONS = {
     "iterations": (_integer, DEFAULT_ITERATIONS, ">= 1", ("align",)),
-    "seed": (_integer, 0, None, ("build-dataset", "evaluate")),
+    "seed": (_integer, 0, ">= 0", ("build-dataset", "evaluate")),
     "samples_per_pair": (_integer, 1, ">= 1", ("build-dataset",)),
     "target_language": (_string, DEFAULT_TARGET_LANGUAGE, None, ("build-dataset", "simulate")),
     "k": (_integers, [1], ">= 1", ("simulate",)),
@@ -106,7 +106,8 @@ OPTIONS = {
     "api_key_env": (_string, None, None, ("simulate",)),
     "top_p": (_number, 0.7, "> 0, <= 1", ("simulate",)),
     "max_unit_tokens": (_integer, 12, ">= 1", ("simulate",)),
-    "timeout_ms": (_number, 30000.0, "> 0", ("simulate",)),
+    # a socket refuses a timeout past about 9.2e9 s; one day is under every platform's limit
+    "timeout_ms": (_number, 30000.0, "> 0, <= 86400000", ("simulate",)),
     "retries": (_integer, 2, ">= 0", ("simulate",)),
     "workers": (_integer, 1, ">= 1", ("simulate",)),
     "window_ms": (_number, 200.0, "> 0", ("simulate",)),
@@ -177,11 +178,17 @@ def _tokenize_line(path, n, text):
 
 @contextlib.contextmanager
 def _outputs(*paths):
-    """A temporary path per output path for the block to write, each moved
-    onto its output path once the block ends. A failure leaves no temporary
-    file and no output that was not there before; a temporary path that
-    cannot be opened for want of its directory is an error naming the output."""
+    """A temporary path per output path for the block to write, in order,
+    each moved onto its output path once the block ends. A failure leaves no
+    temporary file and no output that was not there before. An error at a
+    temporary path that cannot be opened for want of its directory, or a
+    failed write, which names no file, is an error naming the output."""
     tmps = [f"{path}.tmp" for path in paths]
+    # a temporary file left by a run that was killed would pass below for
+    # one this block wrote
+    for tmp in tmps:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
     # only a replace that came before a failed one can have made an output
     fresh = [path for path in paths[:-1] if not os.path.lexists(path)]
     made = []
@@ -191,14 +198,21 @@ def _outputs(*paths):
             os.replace(tmp, path)
             made.append(path)
     except BaseException as exc:
-        # nothing at a temporary path that failed: the fault is its directory's
-        unmade = (isinstance(exc, OSError) and exc.filename in tmps
-                  and not os.path.lexists(exc.filename))
+        named = None
+        if isinstance(exc, OSError):
+            if exc.filename in tmps and not os.path.lexists(exc.filename):
+                # nothing at a temporary path that failed: the fault is its directory's
+                named = paths[tmps.index(exc.filename)]
+            elif exc.filename is None:
+                # the block writes the outputs in order, so the last
+                # temporary file there is the one whose write failed
+                named = next((path for tmp, path in zip(tmps[::-1], paths[::-1])
+                              if os.path.lexists(tmp)), None)
         for path in [*tmps, *(p for p in made if p in fresh)]:
             with contextlib.suppress(OSError):
                 os.remove(path)
-        if unmade:
-            raise OSError(exc.errno, exc.strerror, paths[tmps.index(exc.filename)]) from exc
+        if named:
+            raise OSError(exc.errno, exc.strerror, named) from exc
         raise
 
 
@@ -229,7 +243,8 @@ def cmd_align(args) -> int:
         link_sets = aligner.align_corpus(tokenized, forward, reverse)
     pairs, stats = causal.build_corpus(tokenized, link_sets)
 
-    causal.write_corpus(pairs, link_sets, args.output)
+    with _outputs(args.output) as (tmp,):
+        causal.write_corpus(pairs, link_sets, tmp)
     print(
         f"aligned {stats.pair_count} pairs: "
         f"{stats.wait_total} waits ({stats.mean_waits:.2f}/pair), "

@@ -1,3 +1,4 @@
+import json
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -11,6 +12,19 @@ from simtrans.rng import make_rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def trace_bytes(out_dir):
+    """{file name: bytes} of every entry in out_dir, each checked to be a
+    .json trace file that is json.dumps of its own record, byte for byte:
+    key order, number format and escapes. A stray entry, such as a left
+    temporary file, fails the check."""
+    traces = {p.name: p.read_bytes() for p in Path(out_dir).iterdir()}
+    for name, data in traces.items():
+        assert name.endswith(".json"), name
+        text = data.decode("utf-8")
+        assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n", name
+    return traces
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from simtrans.errors import (
 from simtrans.prompt import StepPrompt, build_prompt
 from simtrans.units import Signal
 
+from conftest import trace_bytes
 from oracles import prompt_words
 
 
@@ -382,10 +383,12 @@ def test_no_proxy_reaches_the_endpoint_directly(dict_server, no_proxy_env):
 
 def test_simulate_http_workers_match_one_worker(tmp_path, dict_server, no_proxy_env):
     test_set = tmp_path / "test.jsonl"
+    mapping = {}
     with open(test_set, "w", encoding="utf-8") as fh:
         for i in range(12):
             words = " ".join(f"w{i}x{j}" for j in range(2 + i % 5))
             fh.write(json.dumps({"source": words, "target": words.upper()}) + "\n")
+            mapping.update((w, w.upper()) for w in words.split())
     endpoint = f"http://127.0.0.1:{dict_server.server_address[1]}/v1/completions"
 
     def simulate(workers):
@@ -395,12 +398,20 @@ def test_simulate_http_workers_match_one_worker(tmp_path, dict_server, no_proxy_
                          "--backend", "http", "--endpoint", endpoint, "--k", "1,3",
                          "--workers", str(workers)]) == 0
         clients = {seen["client"] for seen in dict_server.seen}
-        return {p.name: p.read_bytes() for p in out_dir.glob("*.json")}, clients
+        return trace_bytes(out_dir), clients
 
     one, one_clients = simulate(1)
     four, four_clients = simulate(4)
     assert len(one) == 24 and four == one
     assert len(one_clients) == 1 and 1 <= len(four_clients) <= 4
+    # the server answers like a lookahead-0 dictionary, so the dict backend
+    # writes the same traces, byte for byte
+    dict_file = tmp_path / "dict.json"
+    dict_file.write_text(json.dumps(mapping))
+    assert cli_main(["simulate", "--input", str(test_set), "--out-dir", str(tmp_path / "dict"),
+                     "--backend", "dict", "--dict-file", str(dict_file), "--lookahead", "0",
+                     "--k", "1,3"]) == 0
+    assert trace_bytes(tmp_path / "dict") == one
 
 
 class _RawServer:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from simtrans.prompt import build_prompt, interpreter_system_message
 from simtrans.streams import TimedTranscript, write_transcript
 from simtrans.units import FILLER_TOKEN, WAIT_TOKEN
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, trace_bytes
 
 
 def write_jsonl(path, records):
@@ -499,28 +500,40 @@ def test_evaluate_matches_golden(tmp_path):
     assert waits.read_bytes() == (GOLDEN / "evaluate_waits.json").read_bytes()
 
 
-def test_simulate_fixture_traces_match_golden(tmp_path):
+def test_simulate_fixture_traces_match_golden(tmp_path, monkeypatch):
     # the dict run behind the evaluate goldens, failed sessions included:
-    # every trace file, byte for byte
+    # every trace file, byte for byte, on four worker threads too, and with
+    # --k from a config file or from the environment
     fixture = FIXTURES / "evaluate"
-    out_dir = tmp_path / "traces"
-    assert main(["simulate", "--input", str(fixture / "test.jsonl"), "--out-dir", str(out_dir),
-                 "--backend", "dict", "--dict-file", str(fixture / "dict.json"),
-                 "--k", "1,3"]) == EXIT_PARTIAL
-    golden = GOLDEN / "fixture_traces"
-    assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in golden.iterdir())
-    for path in golden.iterdir():
-        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+    golden = trace_bytes(GOLDEN / "fixture_traces")
+    config = tmp_path / "k.json"
+    config.write_text('{"k": [1, 3]}')
+    simulate = ["simulate", "--input", str(fixture / "test.jsonl"),
+                "--dict-file", str(fixture / "dict.json")]
+    for name, argv in (("plain", [*simulate, "--backend", "dict", "--k", "1,3"]),
+                       ("workers", [*simulate, "--backend", "dict", "--k", "1,3",
+                                    "--workers", "4"]),
+                       ("config", ["--config", str(config), *simulate]),
+                       ("env", simulate)):
+        with monkeypatch.context() as env:
+            if name == "env":
+                env.setenv("SIMTRANS_K", "1,3")
+            assert main([*argv, "--out-dir", str(tmp_path / name)]) == EXIT_PARTIAL, name
+        traces = trace_bytes(tmp_path / name)
+        assert sorted(traces) == sorted(golden), name
+        for file_name, data in golden.items():
+            assert traces[file_name] == data, (name, file_name)
 
 
-def run_cli(*argv):
+def run_cli(*argv, preexec_fn=None):
     """Run the CLI in a fresh interpreter, as a user would; (exit code, stderr).
 
-    A run that has not ended within a minute fails the test instead of hanging it.
+    preexec_fn runs in the child before it starts. A run that has not ended
+    within a minute fails the test instead of hanging it.
     """
     src = Path(simtrans.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "simtrans.cli", *map(str, argv)],
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn,
                           env={**os.environ, "PYTHONPATH": str(src)})
     return proc.returncode, proc.stderr
 
@@ -536,12 +549,15 @@ def run_cli(*argv):
     ("timeout-ms", "inf", "simulate-http"),
     ("retries", "-1", "simulate-http"),
     ("timeout-ms", "0", "simulate-http"),
+    ("timeout-ms", "1e300", "simulate-http"),
     ("window-ms", "0", "simulate"),
     ("workers", "0", "simulate"),
     ("workers", "-3", "simulate"),
     ("bootstrap", "-1", "evaluate"),
     ("iterations", "0", "align"),
     ("samples-per-pair", "0", "build-dataset"),
+    ("seed", "-1", "build-dataset"),
+    ("seed", "-3", "evaluate"),
     ("lookahead", "-3", "simulate"),
     ("max-unit-tokens", "0", "simulate-http"),
 ])
@@ -563,6 +579,34 @@ def test_out_of_range_option_is_one_error_line(tmp_path, toy_corpus, flag, value
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: --{flag}")
+    # refused before any output is written
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus.jsonl", "dict.json", "test.jsonl", "traces"]
+
+
+@pytest.mark.parametrize("command", ["align", "build-dataset", "evaluate"])
+def test_a_write_past_the_file_size_limit_names_its_output(tmp_path, command):
+    # a failed write raises an OSError that names no file
+    out = tmp_path / "out.json"
+    fixture = FIXTURES / "evaluate"
+    argv = {
+        "align": ["align", "--input", fixture / "test.jsonl", "--output", out],
+        "build-dataset": ["build-dataset", "--input", GOLDEN / "fixture_align_causal.jsonl",
+                          "--output", out, "--meta", tmp_path / "meta.json"],
+        "evaluate": ["evaluate", "--traces", GOLDEN / "fixture_traces",
+                     "--references", fixture / "test.jsonl", "--report", out,
+                     "--curve", tmp_path / "curve.csv"],
+    }[command]
+    if command == "build-dataset":
+        # left by an earlier run that was killed; the samples write fails first
+        (tmp_path / "meta.json.tmp").write_text("{}")
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (512, 512))
+
+    code, err = run_cli(*argv, preexec_fn=limit_file_size)
+    assert (code, err) == (EXIT_USAGE, f"error: {out}: {os.strerror(errno.EFBIG)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, backend", [
@@ -798,8 +842,8 @@ _CORRUPT_FIELDS = {
     "k-list": ({"k": [1]}, "k must be an integer"),
     "hypothesis-not-words": ({"hypothesis": [1, 2, 3]}, "hypothesis must be a list of words"),
     "id-list": ({"id": [0]}, "id must be a string"),
-    "delays-strings": ({"delays_words": ["1", "2", "3"]}, "delays must be numbers"),
-    "delays-bool": ({"delays_words": [True, 2, 3]}, "delays must be numbers"),
+    "delays-strings": ({"delays_words": ["1", "2", "3"]}, "delays must be numbers, got '1'"),
+    "delays-bool": ({"delays_words": [True, 2, 3]}, "delays must be numbers, got True"),
     "speech-processing-string": (
         {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": "x"},
         "processing_ms must be a number",
@@ -876,6 +920,8 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
     assert code == EXIT_USAGE
     assert err.startswith(f"error: {trace}: ") and expected in err
     assert len(err.splitlines()) == 1
+    if case in _CORRUPT_FIELDS:
+        assert err == f"error: {trace}: {expected}\n"
 
 
 def _evaluate_error(out_dir, test_set, capsys):
@@ -1114,15 +1160,12 @@ def test_verify_empty_file(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
-def _trace_bytes(out_dir):
-    return {p.name: p.read_bytes() for p in Path(out_dir).glob("*.json")}
-
-
 def _replay(test_set, recording, out_dir, *extra):
-    """(exit code, trace bytes by file name) of a replay of recording."""
+    """(exit code, trace bytes by file name) of a replay of recording; a
+    refused replay makes no out_dir and has no traces."""
     code = main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
                  "--backend", "replay", "--recording", str(recording), *map(str, extra)])
-    return code, _trace_bytes(out_dir)
+    return code, trace_bytes(out_dir) if out_dir.exists() else {}
 
 
 def test_replay_reproducibility(tmp_path):
@@ -1132,7 +1175,7 @@ def test_replay_reproducibility(tmp_path):
     assert code == EXIT_OK
     first = _replay(test_set, recorded, tmp_path / "t1", "--k", "1,2")
     second = _replay(test_set, recorded, tmp_path / "t2", "--k", "1,2")
-    assert first == second == (EXIT_OK, _trace_bytes(recorded))
+    assert first == second == (EXIT_OK, trace_bytes(recorded))
 
 
 def test_record_then_replay_byte_identical(tmp_path):
@@ -1151,7 +1194,7 @@ def test_record_then_replay_byte_identical(tmp_path):
     assert main(["simulate", "--input", str(test_set), "--out-dir", str(tmp_path / "rec"),
                  "--k", "1", "--backend", "scripted",
                  "--script-file", str(script_file)]) == EXIT_PARTIAL
-    recorded = _trace_bytes(tmp_path / "rec")
+    recorded = trace_bytes(tmp_path / "rec")
     assert [json.loads(recorded[name])["error"] for name in sorted(recorded)] == [
         None, None, "script exhausted after 1 units",
         "backend returned invalid word unit 'q r'",
@@ -1167,7 +1210,7 @@ def test_replay_of_a_partial_run_writes_the_same_traces_with_any_workers(tmp_pat
     assert main(["simulate", "--input", str(fixture / "test.jsonl"),
                  "--out-dir", str(tmp_path / "recorded"), "--backend", "dict",
                  "--dict-file", str(fixture / "dict.json"), "--k", "1,3"]) == EXIT_PARTIAL
-    recorded = _trace_bytes(tmp_path / "recorded")
+    recorded = trace_bytes(tmp_path / "recorded")
     assert len(recorded) == 16
     assert sum(b'"finished": false' in trace for trace in recorded.values()) == 4
     for workers in ("1", "4"):
@@ -1216,7 +1259,7 @@ def test_replay_at_another_window_serves_the_same_units_at_its_clocks(tmp_path):
     def simulate(out_dir, *extra):
         assert main(["simulate", "--input", str(audio), "--mode", "speech", "--k", "2",
                      "--out-dir", str(out_dir), *extra]) == EXIT_OK
-        return _trace_bytes(out_dir)
+        return trace_bytes(out_dir)
 
     at_200 = simulate(tmp_path / "at_200", "--dict-file", str(dict_file), "--window-ms", "200")
     at_100 = simulate(tmp_path / "at_100", "--dict-file", str(dict_file), "--window-ms", "100")

@@ -5,7 +5,7 @@ import pytest
 from simtrans.cli import EXIT_OK, main
 from simtrans.streams import TimedTranscript, write_transcript
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, trace_bytes
 
 
 @pytest.fixture
@@ -72,22 +72,32 @@ def test_worker_pool_output_deterministic(tmp_path):
         assert main(["simulate", "--input", str(test_set), "--out-dir", str(out_dir),
                      "--backend", "dict", "--dict-file", str(dict_file),
                      "--k", "1,2", "--workers", workers]) == EXIT_OK
-        outputs.append({p.name: p.read_bytes() for p in out_dir.glob("*.json")})
+        outputs.append(trace_bytes(out_dir))
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 12
 
 
 @pytest.mark.parametrize("mode", ["text", "speech"])
-def test_wall_clock_only_adds_stamps(tmp_path, speech_setup, mode):
+def test_wall_clock_only_adds_stamps(tmp_path, capsys, speech_setup, mode):
     transcripts_dir, refs_path, dict_file = speech_setup
     source = ["--input", str(refs_path)] if mode == "text" else [
         "--input", str(transcripts_dir), "--mode", "speech"]
     runs = {}
+    scored = {}
     for name, extra in (("plain", []), ("timed", ["--wall-clock"])):
         out_dir = tmp_path / name
         assert main(["simulate", *source, "--out-dir", str(out_dir), "--backend", "dict",
                      "--dict-file", str(dict_file), "--k", "1,2", *extra]) == EXIT_OK
-        runs[name] = {p.name: p.read_text(encoding="utf-8") for p in out_dir.glob("*.json")}
+        runs[name] = trace_bytes(out_dir)
+        # evaluate scores, resamples and counts the waits of the stamped events alike
+        waits, report = tmp_path / f"{name}_waits.json", tmp_path / f"{name}_report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--traces", str(out_dir), "--references", str(refs_path),
+                     "--histogram", str(waits), "--report", str(report),
+                     "--bootstrap", "5"]) == EXIT_OK
+        scored[name] = capsys.readouterr().out, waits.read_bytes()
+        assert json.loads(report.read_text())["bootstrap"]["2"]["resamples"] == 5
+    assert scored["timed"] == scored["plain"]
     assert len(runs["timed"]) == 6 and runs["timed"].keys() == runs["plain"].keys()
     for name, text in runs["timed"].items():
         rec = json.loads(text)
@@ -97,7 +107,7 @@ def test_wall_clock_only_adds_stamps(tmp_path, speech_setup, mode):
         assert rec.pop("processing_ms") >= stamps[-1]
         for event in rec["events"]:
             del event["wall_ms"]
-        assert json.dumps(rec, ensure_ascii=False) + "\n" == runs["plain"][name]
+        assert (json.dumps(rec, ensure_ascii=False) + "\n").encode() == runs["plain"][name]
 
 
 def test_speech_trace_matches_golden(tmp_path):
