@@ -32,8 +32,8 @@ _EXPORTS = {
     "write_corpus": "causal",
     "EngineConfig": "engine",
     "SessionTrace": "engine",
+    "read_trace": "engine",
     "run_session": "engine",
-    "waited_words": "engine",
     "DelaySequence": "metrics",
     "LatencyReport": "metrics",
     "aggregate_report": "metrics",

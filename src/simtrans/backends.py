@@ -289,36 +289,30 @@ class HttpBackend:
 
 
 class ReplayBackend:
-    """Serves the units of one session trace record, in call order.
+    """Serves the units of one session trace, in call order.
 
-    Each step must reveal as many source words as the trace had read before
-    that unit, and the words revealed since the previous step must be the
-    trace's; only those are compared, so a step costs no more than its new
-    words. Past the last unit, a failed trace raises its recorded error
-    again and a finished one raises ReplayMiss.
+    source, reads and units are engine.read_trace of the trace, and error
+    its recorded error. Each step must reveal as many source words as the
+    trace had read before that unit, and the words revealed since the
+    previous step must be the trace's; only those are compared, so a step
+    costs no more than its new words. Past the last unit, a failed trace
+    raises its recorded error again and a finished one raises ReplayMiss.
     """
 
-    def __init__(self, trace):
-        self.source = []  # the trace's read words, in order
-        self.steps = []   # (words read before the unit, unit); None re-raises error
-        for event in trace.get("events", ()):
-            kind = event["kind"]
-            if kind == "read":
-                self.source.append(event["word"])
-            else:
-                unit = event["word"] if kind == "write" else Signal[kind.upper()]
-                self.steps.append((len(self.source), unit))
-        self.error = trace.get("error")
-        if self.error is not None:
-            self.steps.append((len(self.source), None))
+    def __init__(self, source, reads, units, error=None):
+        self.source = source
+        if error is not None:  # a last step whose unit is None raises it
+            reads, units = [*reads, len(source)], [*units, None]
+        self.reads, self.units = reads, units
+        self.error = error
         self.pos = 0
         self._checked = 0
 
     def next_unit(self, prompt, allow_wait: bool = True) -> Unit:
         step = self.pos + 1
-        if self.pos >= len(self.steps):
+        if self.pos >= len(self.units):
             raise ReplayMiss(f"step {step} runs past the {self.pos} units of the trace")
-        reads, unit = self.steps[self.pos]
+        reads, unit = self.reads[self.pos], self.units[self.pos]
         revealed = prompt.source
         if len(revealed) != reads:
             raise ReplayMiss(f"step {step} reveals {len(revealed)} source words, "

@@ -102,13 +102,13 @@ OPTIONS = {
     "backend": (("scripted", "dict", "replay", "http"), "dict", None, ("simulate",)),
     "lookahead": (_integer, 0, ">= 0", ("simulate",)),
     "endpoint": (_string, None, None, ("simulate",)),
-    "model": (_string, "", None, ("simulate",)),
-    "api_key_env": (_string, None, None, ("simulate",)),
-    "top_p": (_number, 0.7, "> 0, <= 1", ("simulate",)),
-    "max_unit_tokens": (_integer, 12, ">= 1", ("simulate",)),
+    "model": (_string, HttpBackendConfig.model_name, None, ("simulate",)),
+    "api_key_env": (_string, HttpBackendConfig.api_key_env, None, ("simulate",)),
+    "top_p": (_number, HttpBackendConfig.top_p, "> 0, <= 1", ("simulate",)),
+    "max_unit_tokens": (_integer, HttpBackendConfig.max_unit_tokens, ">= 1", ("simulate",)),
     # a socket refuses a timeout past about 9.2e9 s; one day is under every platform's limit
-    "timeout_ms": (_number, 30000.0, "> 0, <= 86400000", ("simulate",)),
-    "retries": (_integer, 2, ">= 0", ("simulate",)),
+    "timeout_ms": (_number, HttpBackendConfig.timeout_ms, "> 0, <= 86400000", ("simulate",)),
+    "retries": (_integer, HttpBackendConfig.retries, ">= 0", ("simulate",)),
     "workers": (_integer, 1, ">= 1", ("simulate",)),
     "window_ms": (_number, 200.0, "> 0", ("simulate",)),
     "bootstrap": (_integer, 0, ">= 0", ("evaluate",)),
@@ -287,10 +287,7 @@ def _build_shared_backend(args):
     if args.backend == "replay":
         if not args.recording:
             raise SimtransError("--recording is required for the replay backend")
-        traces = _read_traces(args.recording)
-        for path, rec in traces.values():
-            _waited_words(path, rec)
-        return traces
+        return _read_traces(args.recording)
     if args.backend == "scripted":
         if not args.script_file:
             raise SimtransError("--script-file is required for the scripted backend")
@@ -320,7 +317,7 @@ def cmd_simulate(args) -> int:
         sources = [_tokenize_line(args.input, n, src) for n, src, _ in _read_pair_file(args.input)]
         make_stream = lambda idx: streams.TextStream(sources[idx])
     else:
-        paths = sorted(glob.glob(os.path.join(args.input, "*.json")))
+        paths = sorted(glob.glob(os.path.join(glob.escape(args.input), "*.json")))
         if not paths:
             raise SimtransError(f"no transcript files in {args.input}")
         transcripts = [streams.read_transcript(p) for p in paths]
@@ -349,7 +346,8 @@ def cmd_simulate(args) -> int:
     def run_one(job):
         idx, k = job
         if args.backend == "replay":
-            backend = ReplayBackend(shared[f"{idx:04d}", k][1])
+            _, rec, reading = shared[f"{idx:04d}", k]
+            backend = ReplayBackend(*reading, rec["error"])
         elif args.backend == "scripted":
             backend = ScriptedBackend(shared[idx])
         else:
@@ -383,71 +381,22 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-_STR = frozenset((str,))
-
-
-def _read_trace(path):
-    """One trace record with each field evaluate scores checked (delays by
-    metrics.DelaySequence, events by _waited_words), or an error naming the file."""
-    rec = read_json(path)
-    if not isinstance(rec, dict):
-        raise SimtransError(f"{path}: a trace must be a JSON object")
-    for key in ("source", "hypothesis", "k"):
-        if key not in rec:
-            raise SimtransError(f"{path}: trace record lacks {key!r}")
-    rec.setdefault("mode", "text")
-    hypothesis = rec["hypothesis"]
-    delays_key = "delays_ms" if rec["mode"] == "speech" else "delays_words"
-    delays = rec.get(delays_key)
-    for ok, problem in (
-        (isinstance(rec.get("id"), str), "id must be a string"),
-        (type(rec["k"]) is int, "k must be an integer"),
-        (isinstance(hypothesis, list) and _STR.issuperset(map(type, hypothesis)),
-         "hypothesis must be a list of words"),
-        (rec["mode"] in ("text", "speech"), "mode must be text or speech"),
-        (isinstance(delays, list) and isinstance(hypothesis, list)
-         and len(delays) == len(hypothesis),
-         f"{delays_key} must hold one delay per hypothesis word"),
-        (type(rec.get("source_total")) in (int, float), "source_total must be a number"),
-        (type(rec.get("source_total")) not in (int, float) or math.isfinite(rec["source_total"]),
-         "source_total must be finite"),
-        (rec.get("processing_ms") is None or type(rec["processing_ms"]) in (int, float),
-         "processing_ms must be a number"),
-        (type(rec.get("processing_ms")) not in (int, float) or math.isfinite(rec["processing_ms"]),
-         "processing_ms must be finite"),
-    ):
-        if not ok:
-            raise SimtransError(f"{path}: {problem}")
-    return rec
-
-
 def _read_traces(directory):
-    """{(id, k): (path, record)} of the trace files in directory, in path
-    order, each read by _read_trace; a second trace of one (id, k) is refused."""
-    paths = sorted(glob.glob(os.path.join(directory, "*.json")))
+    """{(id, k): (path, record, engine.read_trace of it)} of the trace files in
+    directory, in path order; a second trace of one (id, k) is refused."""
+    paths = sorted(glob.glob(os.path.join(glob.escape(directory), "*.json")))
     if not paths:
         raise SimtransError(f"no trace files in {directory}")
     traces = {}
     for path in paths:
-        rec = _read_trace(path)
+        rec = read_json(path)
+        reading = engine.read_trace(rec, path)
         key = rec["id"], rec["k"]
         if key in traces:
             raise SimtransError(f"{path}: trace id {key[0]!r} at k={key[1]} is also in "
                                 f"{traces[key][0]}")
-        traces[key] = path, rec
+        traces[key] = path, rec, reading
     return traces
-
-
-def _waited_words(path, rec):
-    """engine.waited_words of one trace, which checks each event for what
-    wait_histogram and ReplayBackend read, with its error checked too."""
-    try:
-        waited = engine.waited_words(rec.get("events", []))
-    except (TypeError, KeyError) as exc:
-        raise SimtransError(f"{path}: events must be a list of event records") from exc
-    if not (rec.get("error") is None or isinstance(rec["error"], str)):
-        raise SimtransError(f"{path}: error must be null or a string")
-    return waited
 
 
 def cmd_evaluate(args) -> int:
@@ -457,7 +406,6 @@ def cmd_evaluate(args) -> int:
     traces = _read_traces(args.traces)
     if args.histogram:
         # every input is read before the first output is written
-        waited = [_waited_words(path, rec) for path, rec in traces.values()]
         function_words = [w.strip() for w in lines(read_text(args.function_words)) if w.strip()]
 
     pairs = _read_pair_file(args.references)
@@ -465,7 +413,7 @@ def cmd_evaluate(args) -> int:
 
     # by_k[k][id] = (path, record); one mode per k
     by_k = {}
-    for (session_id, k), (path, rec) in traces.items():
+    for (session_id, k), (path, rec, _) in traces.items():
         if session_id not in references:
             raise SimtransError(f"{path}: no reference for trace id {session_id!r}")
         group = by_k.setdefault(k, {})
@@ -541,7 +489,8 @@ def cmd_evaluate(args) -> int:
     if args.curve:
         texts[args.curve] = curve
     if args.histogram:
-        hist = metrics.wait_histogram(waited, function_words)
+        hist = metrics.wait_histogram([reading for _, _, reading in traces.values()],
+                                      function_words)
         texts[args.histogram] = json.dumps({
             "counts": hist.counts,
             "function_count": hist.function_count,

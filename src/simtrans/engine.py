@@ -28,14 +28,16 @@ Each event is written once, as it happens, as the JSON text the trace file
 holds, keys in this order: kind (read | write | wait | eos), the stream clock
 after the event, word (read, write), g (write: source consumed at commit),
 wall_ms (wall_clock). SessionTrace keeps that text; its events decode it.
+SessionTrace.to_json writes a trace file's record; read_trace is its one reader.
 """
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
-from .errors import SessionError, SimtransError, WaitOverflow, WriteOverflow
+from .errors import ParseError, SessionError, SimtransError, WaitOverflow, WriteOverflow
 from .prompt import DEFAULT_TARGET_LANGUAGE, StepPrompt, interpreter_system_message
 from .streams import SourceStream, TextStream
 from .units import Signal, WAIT_TOKEN
@@ -105,30 +107,78 @@ def _json(value, escaped):
     return json.dumps(value, ensure_ascii=False)
 
 
-def waited_words(events) -> list:
-    """The source word read last before each wait event of one session.
+_NUMBER = frozenset((int, float))  # the types JSON decodes a number to; a bool is neither
+_FLOAT_MAX = sys.float_info.max
+_STR = frozenset((str,))
+_UNIT = frozenset((str, Signal))
+_SIGNAL_OF = {"wait": _WAIT, "eos": _EOS}
 
-    events are the session's trace event records; one that is not a read or
-    a write of a string word, a wait or an eos raises TypeError or KeyError,
-    so this one walk also checks them.
-    """
-    waited = []
-    last_read = None
-    for event in events:
-        kind = event["kind"]
-        if kind == "read":
-            last_read = event["word"]
-            if type(last_read) is not str:  # JSON decodes a string as str itself
-                raise TypeError(event)
-        elif kind == "wait":
-            if last_read is not None:
-                waited.append(last_read)
-        elif kind == "write":
-            if type(event["word"]) is not str:
-                raise TypeError(event)
-        elif kind != "eos":
-            raise TypeError(event)
-    return waited
+
+def _finite(number):
+    """A JSON number that is no NaN, no infinity and no int past float range."""
+    return abs(number) <= _FLOAT_MAX
+
+
+def read_trace(record, path=None):
+    """(words, reads, units) of a trace file's record as json.load reads it,
+    once every field any reader uses is checked; ParseError names path and
+    the first fault. words are the source words read; per backend call that
+    returned a unit, reads holds the words read before the call and units
+    the unit (two lists: a tuple per call is one more object per call for
+    the garbage collector). metrics.DelaySequence checks the delays' order."""
+    if not isinstance(record, dict):
+        raise ParseError("a trace must be a JSON object", path=path)
+    for key in ("source", "hypothesis", "k", "mode", "events", "error"):
+        if key not in record:
+            raise ParseError(f"trace record lacks {key!r}", path=path)
+    mode, hypothesis = record["mode"], record["hypothesis"]
+    delays_key = "delays_ms" if mode == "speech" else "delays_words"
+    delays = record.get(delays_key)
+    total, processing = record.get("source_total"), record.get("processing_ms")
+    for ok, problem in (
+        (isinstance(record.get("id"), str), "id must be a string"),
+        (type(record["k"]) is int, "k must be an integer"),
+        (isinstance(hypothesis, list) and _STR.issuperset(map(type, hypothesis)),
+         "hypothesis must be a list of words"),
+        (mode in ("text", "speech"), "mode must be text or speech"),
+        (isinstance(delays, list) and isinstance(hypothesis, list)
+         and len(delays) == len(hypothesis),
+         f"{delays_key} must hold one delay per hypothesis word"),
+        (type(total) in _NUMBER, "source_total must be a number"),
+        (type(total) not in _NUMBER or _finite(total), "source_total must be finite"),
+        (processing is None or type(processing) in _NUMBER, "processing_ms must be a number"),
+        (type(processing) not in _NUMBER or _finite(processing), "processing_ms must be finite"),
+        (record["error"] is None or isinstance(record["error"], str),
+         "error must be null or a string"),
+    ):
+        if not ok:
+            raise ParseError(problem, path=path)
+    for delay in delays:
+        if type(delay) not in _NUMBER:
+            raise ParseError(f"delays must be numbers, got {delay!r}", path=path)
+        if not 0 <= delay <= _FLOAT_MAX:
+            raise ParseError("delays must not be negative" if _finite(delay)
+                             else "delays must be finite", path=path)
+    if delays and total <= 0:
+        raise ParseError("the source length must be positive", path=path)
+
+    events = record["events"]
+    words, reads, units = [], [], []
+    try:
+        for event in events:
+            kind = event["kind"]
+            if kind == "read":
+                words.append(event["word"])
+            else:
+                reads.append(len(words))
+                units.append(event["word"] if kind == "write" else _SIGNAL_OF[kind])
+        ok = (type(events) is list and _STR.issuperset(map(type, words))
+              and _UNIT.issuperset(map(type, units)))
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        raise ParseError("events must be a list of event records", path=path)
+    return words, reads, units
 
 
 def _ms_since(started):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bleu import batch_stats, bleu_from_stats
 from .errors import DegenerateInput, InputMismatch
+from .units import Signal
 
 _PLAIN_REALS = frozenset((int, float))
 _REAL_TYPES = (int, float, np.integer, np.floating)
@@ -128,14 +129,17 @@ class WaitHistogram:
 
 
 def wait_histogram(sessions, function_words) -> WaitHistogram:
-    """Count the source word immediately preceding each wait event.
+    """Count the source word read last before each wait call.
 
-    sessions holds the waited_words of each session's events.
+    sessions holds engine.read_trace's (words, reads, units) of each
+    session; a wait before the first read follows no word and is not counted.
     """
     counts = {}
-    for waited in sessions:
-        for word in waited:
-            counts[word] = counts.get(word, 0) + 1
+    for words, reads, units in sessions:
+        for read, unit in zip(reads, units):
+            if unit is Signal.WAIT and read:
+                word = words[read - 1]
+                counts[word] = counts.get(word, 0) + 1
     function_words = {w.lower() for w in function_words}
     function_count = sum(n for word, n in counts.items() if word.lower() in function_words)
     return WaitHistogram(counts, function_count, sum(counts.values()) - function_count)

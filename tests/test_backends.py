@@ -20,7 +20,7 @@ from simtrans.backends import (
     ScriptedBackend,
 )
 from simtrans.cli import main as cli_main
-from simtrans.engine import run_session
+from simtrans.engine import read_trace, run_session
 from simtrans.errors import (
     BackendUnavailable,
     MalformedResponse,
@@ -166,32 +166,36 @@ def test_http_config_validation():
         HttpBackendConfig(endpoint_url="u", timeout_ms=0)
 
 
+def _replay_backend(trace):
+    """A ReplayBackend of trace as simulate's file of it reads back."""
+    record = dict(json.loads(trace.to_json()), id="0000")
+    return ReplayBackend(*read_trace(record), record["error"])
+
+
 def test_record_then_replay_identical_trace():
     source = ["a", "b", "c", "d"]
     mapping = {w: w.upper() for w in source}
     first = run_session(source, DictionaryBackend(mapping, lookahead=1), k=2)
-    replayed = run_session(source, ReplayBackend(json.loads(first.to_json())), k=2)
+    replayed = run_session(source, _replay_backend(first), k=2)
     assert replayed.to_json() == first.to_json()
 
 
 def test_replay_altered_k_misses():
     source = ["a", "b", "c"]
     trace = run_session(source, DictionaryBackend({w: w for w in source}), k=1)
-    backend = ReplayBackend(json.loads(trace.to_json()))
+    backend = _replay_backend(trace)
     with pytest.raises(SessionError, match="step 1 reveals 3 source words, the trace 1"):
         run_session(source, backend, k=3)  # ReplayMiss surfaces as a session failure
 
 
 def test_replay_empty_recording():
     with pytest.raises(ReplayMiss, match="step 1 runs past the 0 units of the trace"):
-        ReplayBackend({"events": [], "error": None}).next_unit(build_prompt([], []))
+        ReplayBackend([], [], []).next_unit(build_prompt([], []))
 
 
 def test_replay_repeated_prompts_in_order():
     # a dry stream: the same prompt is asked again after each wait
-    trace = {"events": [{"kind": "read", "word": "a"}, {"kind": "wait"},
-                        {"kind": "write", "word": "first"}, {"kind": "eos"}], "error": None}
-    backend = ReplayBackend(trace)
+    backend = ReplayBackend(["a"], [1, 1, 1], [Signal.WAIT, "first", Signal.EOS])
     prompt = build_prompt(["a"], [])
     assert backend.next_unit(prompt) is Signal.WAIT
     assert backend.next_unit(prompt, allow_wait=False) == "first"
@@ -209,8 +213,8 @@ def test_replay_compares_only_the_words_revealed_since_the_last_step():
             return super().__getitem__(index)
 
     source = [f"w{i}" for i in range(50)]
-    trace = json.loads(run_session(source, DictionaryBackend({}), k=1).to_json())
-    backend, revealed = ReplayBackend(trace), Words()
+    trace = run_session(source, DictionaryBackend({}), k=1)
+    backend, revealed = _replay_backend(trace), Words()
     for word in source:
         revealed.append(word)
         assert backend.next_unit(StepPrompt(revealed, [])) == word

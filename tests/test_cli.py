@@ -15,8 +15,9 @@ import simtrans
 from simtrans import aligner, cli
 from simtrans.backends import ScriptedBackend
 from simtrans.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_VERIFY, main
+from simtrans.engine import EngineConfig, run_session
 from simtrans.prompt import build_prompt, interpreter_system_message
-from simtrans.streams import TimedTranscript, write_transcript
+from simtrans.streams import AsrSimStream, TimedTranscript, write_transcript
 from simtrans.units import FILLER_TOKEN, WAIT_TOKEN
 
 from conftest import FIXTURES, GOLDEN, trace_bytes
@@ -874,10 +875,17 @@ _CORRUPT_FIELDS = {
     "delays-infinite": ({"delays_words": [1, 2, float("inf")]}, "delays must be finite"),
     "source-total-nan": ({"source_total": float("nan")}, "source_total must be finite"),
     "source-total-infinite": ({"source_total": float("inf")}, "source_total must be finite"),
+    # JSON reads these as ints too large for any float
+    "source-total-huge": ({"source_total": 10 ** 400}, "source_total must be finite"),
+    "delays-huge": ({"delays_words": [1, 2, 10 ** 400]}, "delays must be finite"),
     "processing-ms-nan": (
         {"mode": "speech", "delays_ms": [1, 2, 3], "processing_ms": float("nan")},
         "processing_ms must be finite",
     ),
+    # no reader guesses a field a trace lacks
+    "mode-missing": ({"mode": _MISSING}, "trace record lacks 'mode'"),
+    "events-missing": ({"events": _MISSING}, "trace record lacks 'events'"),
+    "error-missing": ({"error": _MISSING}, "trace record lacks 'error'"),
 }
 
 
@@ -922,6 +930,57 @@ def test_evaluate_corrupt_trace_names_the_file(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     if case in _CORRUPT_FIELDS:
         assert err == f"error: {trace}: {expected}\n"
+
+
+@pytest.mark.parametrize("reader", ["evaluate", "replay"])
+@pytest.mark.parametrize("case", _CORRUPT_FIELDS)
+def test_every_trace_reader_refuses_a_corrupt_field(tmp_path, capsys, case, reader):
+    # evaluate with --histogram is test_evaluate_corrupt_trace_names_the_file
+    code, out_dir, test_set = _simulate_dict(tmp_path, [{"source": "a b c", "target": "A B C"}],
+                                             k="1")
+    assert code == EXIT_OK
+    trace = out_dir / "0000_k1.json"
+    expected = _corrupt_trace(trace, case)
+    capsys.readouterr()
+    replayed = tmp_path / "replayed"
+    code = main({
+        "evaluate": ["evaluate", "--traces", str(out_dir), "--references", str(test_set)],
+        "replay": ["simulate", "--input", str(test_set), "--out-dir", str(replayed),
+                   "--backend", "replay", "--recording", str(out_dir), "--k", "1"],
+    }[reader])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == f"error: {trace}: {expected}\n"
+    assert not replayed.exists()
+
+
+@pytest.mark.parametrize("reader", ["traces", "recording", "transcripts"])
+def test_a_directory_is_read_by_its_name_whatever_characters_it_holds(tmp_path, capsys, reader):
+    # glob reads [1] in out[1] as a pattern that matches out1 and not out[1]
+    code, recorded, test_set = _simulate_dict(tmp_path, [{"source": "a b", "target": "A B"}],
+                                              k="1")
+    assert code == EXIT_OK
+    named = tmp_path / "out[1]"
+    decoy = tmp_path / "out1"  # what out[1]/*.json matches unescaped; reading it fails
+    decoy.mkdir()
+    (decoy / "0000_k1.json").write_text("{}")
+    if reader == "transcripts":
+        named.mkdir()
+        write_transcript(TimedTranscript(words=[{"w": "a", "end_ms": 100.0}], total_ms=100.0),
+                         named / "0000.json")
+        argv = ["simulate", "--input", named, "--mode", "speech", "--out-dir", tmp_path / "o",
+                "--dict-file", tmp_path / "dict.json"]
+    else:
+        recorded.rename(named)
+        argv = {
+            "traces": ["evaluate", "--traces", named, "--references", test_set],
+            "recording": ["simulate", "--input", test_set, "--out-dir", tmp_path / "o",
+                          "--backend", "replay", "--recording", named, "--k", "1"],
+        }[reader]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == EXIT_OK, capsys.readouterr().err
+    if reader != "traces":
+        assert list(trace_bytes(tmp_path / "o")) == ["0000_k1.json"]
 
 
 def _evaluate_error(out_dir, test_set, capsys):
@@ -1418,6 +1477,34 @@ def test_every_public_name_is_used_by_the_package():
                 used.add(node.attr)
     uncalled = {name for name in simtrans.__all__ if name != "__version__" and name not in used}
     assert uncalled == set(_UNCALLED_EXPORTS)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_the_keys_a_trace_file_holds():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("One JSON object per session:", text.index("### Trace format")):]
+    listed = re.findall(r"`(\w+)`", section[:section.index(".")])
+    transcript = TimedTranscript(words=[{"w": "a", "end_ms": 100.0}], total_ms=100.0)
+    traces = [
+        run_session(["a"], ScriptedBackend(["x", "<EOS>"]), 1),
+        run_session(AsrSimStream(transcript, 200.0), ScriptedBackend(["x", "<EOS>"]), 1),
+        run_session(["a"], ScriptedBackend(["x", "<EOS>"]), 1, EngineConfig(wall_clock=True)),
+    ]
+    written = [list(json.loads(trace.to_json())) for trace in traces]
+    # each text, speech and --wall-clock trace holds its keys in the README's order
+    for keys in written:
+        assert keys == [key for key in listed if key in keys]
+    assert set(listed) == set().union(*written)
+
+
+def test_readme_option_table_lists_each_option_with_its_subcommands():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| option | subcommands |"):]
+    rows = re.findall(r"^\| `(--[\w-]+)`[^|]*\| ([^|]+) \|", table[:table.index("\n\n")], re.M)
+    assert dict((flag, tuple(commands.split(", "))) for flag, commands in rows) == {
+        "--" + name.replace("_", "-"): commands for name, (*_, commands) in cli.OPTIONS.items()}
 
 
 def test_config_precedence(tmp_path, toy_corpus, monkeypatch):

@@ -1,10 +1,12 @@
+import json
+
 import pytest
 
 import oracles
 from simtrans.backends import ScriptedBackend
 from simtrans.bleu import corpus_bleu, tokenize_13a
-from simtrans.engine import run_session, waited_words
-from simtrans.errors import DegenerateInput, InputMismatch
+from simtrans.engine import read_trace, run_session
+from simtrans.errors import DegenerateInput, InputMismatch, ParseError
 from simtrans.metrics import (
     DelaySequence,
     LatencyReport,
@@ -174,12 +176,17 @@ def test_hyp_len_is_the_delay_count():
         DelaySequence(g=[1, 2], source_len=3, hyp_len=3)
 
 
+def _reading(trace):
+    """read_trace of trace as simulate's file of it reads back."""
+    return read_trace(dict(json.loads(trace.to_json()), id="0000"))
+
+
 def test_wait_histogram_counts():
     script = [Signal.WAIT, "x", Signal.WAIT, "y", Signal.EOS]
     trace = run_session(["the", "cat", "of", "mine"], ScriptedBackend(script), k=1)
     # wait 1 follows the read of "the"; the write of "x" reads "of", so
     # wait 2 follows "of"
-    hist = wait_histogram([waited_words(trace.events)], ["the", "of"])
+    hist = wait_histogram([_reading(trace)], ["the", "of"])
     assert hist.counts == {"the": 1, "of": 1}
     assert hist.function_count == 2 and hist.content_count == 0
     assert hist.function_share == pytest.approx(1.0)
@@ -187,7 +194,7 @@ def test_wait_histogram_counts():
 
 def test_wait_histogram_empty():
     trace = run_session(["a"], ScriptedBackend(["x", Signal.EOS]), k=1)
-    hist = wait_histogram([waited_words(trace.events)], ["a"])
+    hist = wait_histogram([_reading(trace)], ["a"])
     assert hist.counts == {} and hist.total == 0
 
 
@@ -204,7 +211,7 @@ def test_wait_histogram_fuzz_recount(rng):
         units.append(Signal.EOS)
         traces.append(run_session(source, ScriptedBackend(units), k=1))
     function_words = {"w0", "w1"}
-    hist = wait_histogram([waited_words(t.events) for t in traces], function_words)
+    hist = wait_histogram([_reading(t) for t in traces], function_words)
     expected_fn = 0
     expected_total = 0
     for trace in traces:
@@ -404,16 +411,26 @@ def test_score_sessions_rows_equal_the_formulas(rng):
     assert aggregate_report(scores[50:120]) == aggregate_report(part)
 
 
+# a trace file's record, events apart
+_RECORD = {"id": "0000", "k": 1, "mode": "text", "source": ["a"], "hypothesis": ["x"],
+           "delays_words": [1], "source_total": 1, "finished": True, "error": None}
+
+
 @pytest.mark.parametrize("event", [
     {"kind": "read"}, {"kind": "read", "word": 3}, {"kind": "write", "word": None},
     {"kind": "skip"}, {"word": "a"}, ["read", "a"],
 ])
 def test_waited_words_refuses_a_malformed_event(event):
-    with pytest.raises((TypeError, KeyError)):
-        waited_words([{"kind": "read", "word": "a"}, {"kind": "wait"}, event])
+    # the one walk that finds the waited words checks every event it passes
+    record = dict(_RECORD, events=[{"kind": "read", "word": "a"}, {"kind": "wait"}, event])
+    with pytest.raises(ParseError, match="^t.json: events must be a list of event records$"):
+        read_trace(record, "t.json")
 
 
 def test_waited_words_skips_a_wait_before_any_read():
-    events = [{"kind": "wait"}, {"kind": "read", "word": "a"}, {"kind": "wait"},
-              {"kind": "wait"}, {"kind": "write", "word": "x"}, {"kind": "eos"}]
-    assert waited_words(events) == ["a", "a"]
+    reading = read_trace(dict(_RECORD, events=[
+        {"kind": "wait"}, {"kind": "read", "word": "a"}, {"kind": "wait"},
+        {"kind": "wait"}, {"kind": "write", "word": "x"}, {"kind": "eos"}]))
+    assert reading == (["a"], [0, 1, 1, 1, 1],
+                       [Signal.WAIT, Signal.WAIT, Signal.WAIT, "x", Signal.EOS])
+    assert wait_histogram([reading], []).counts == {"a": 2}
